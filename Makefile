@@ -115,6 +115,7 @@ fuzz-smoke:
 	go test -fuzz FuzzCompressedAlgebra -fuzztime 8s ./internal/bitvec
 	go test -fuzz FuzzSatisfiedDropping -fuzztime 8s ./internal/index
 	go test -fuzz FuzzSegmentMerge -fuzztime 8s ./internal/index
+	go test -fuzz FuzzContainingAgrees -fuzztime 8s ./internal/index
 	go test -fuzz FuzzCompactEquivalence -fuzztime 6s ./internal/compact
 	go test -fuzz FuzzExactSolversAgree -fuzztime 14s ./internal/core
 	go test -fuzz FuzzEstimateSoundness -fuzztime 8s ./internal/estimate

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"standout/internal/bitvec"
+	"standout/internal/dataset"
 	"standout/internal/obsv"
 )
 
@@ -69,18 +70,16 @@ func topByFreq(candidates []int, freq []int, k int) []int {
 
 // ConsumeAttrCumul is the cumulative variant: it starts from the attribute
 // with the highest individual frequency and repeatedly adds the attribute
-// co-occurring most frequently with everything selected so far (the number
+// co-occurring most frequently with everything selected so far (the weight
 // of log queries containing all selected attributes plus the candidate).
 // When no remaining attribute co-occurs with the current selection, the
 // remaining slots fall back to individual frequency order.
 //
-// The co-occurrence counts are maintained incrementally: one vertical bitmap
-// per candidate attribute (the set of queries containing it) plus a running
-// bitmap of the queries satisfied by the current selection. Scoring a
-// candidate is then one AND-popcount over ⌈S/64⌉ words instead of cloning the
-// selection and rescanning every query, taking a step from O(m·|t|·S)
-// attribute-word operations with an allocation per candidate to
-// O(m·|t|·S/64) with none.
+// With an index attached, scoring a candidate j is one superset count of
+// picked ∪ {j}: per segment, the AND of those attributes' columns, sparsest
+// first with early exit (index.Containing), never touching the log itself.
+// Without one, each step is one scan of the log: every query containing the
+// selection adds its weight to each remaining attribute it also contains.
 type ConsumeAttrCumul struct{}
 
 // Name implements Solver.
@@ -92,7 +91,8 @@ func (s ConsumeAttrCumul) Solve(in Instance) (Solution, error) {
 }
 
 // SolveContext implements Solver. Cancellation is polled once per selection
-// step; a step costs at most |t| AND-popcount passes over the query rowset.
+// step; a step costs at most |t| superset counts, or one scan of the log
+// without an index.
 func (s ConsumeAttrCumul) SolveContext(ctx context.Context, in Instance) (Solution, error) {
 	obs := beginSolve(ctx, s.Name(), in)
 	sol, err := s.solve(ctx, in, obs.tr)
@@ -110,112 +110,65 @@ func (ConsumeAttrCumul) solve(ctx context.Context, in Instance, tr *obsv.Trace) 
 	if n.exact {
 		return n.full(), nil
 	}
+	// Co-occurrence is scored against the whole log, like the individual
+	// frequencies (§IV.D), so scores and the freq tie-break share units.
 	freq := n.fullFreq()
-
-	// Vertical bitmaps over the full log: cols[i] marks the queries that
-	// contain candidate attribute n.ones[i] (§IV.D scores co-occurrence
-	// against the whole log, like the individual frequencies). An attached
-	// index already holds exactly these columns — in whichever representation
-	// its density heuristic picked, which is why the rows are bitvec.Bits: a
-	// compressed column scores in O(members), never materializing the dense
-	// form. Without an index the columns are built densely in a single pass.
-	nq := len(in.Log.Queries)
-	words := (nq + 63) / 64
-	cols := make([]bitvec.Bits, len(n.ones))
-	colOf := make(map[int]int, len(n.ones)) // attribute index → cols row
-	if len(n.segs) == 1 && n.segs[0].off == 0 {
-		// A single segment at offset zero covers the whole log, so its columns
-		// use global query ids and can be shared directly. Multi-segment preps
-		// hold columns in segment-local ids; stitching them per candidate would
-		// cost more than the dense rebuild below, so they take the else branch.
-		for i, j := range n.ones {
-			cols[i] = n.segs[0].idx.Column(j) // read-only shared storage
-			colOf[j] = i
-		}
-	} else {
-		backing := make([]uint64, len(n.ones)*words)
-		dense := make([][]uint64, len(n.ones))
-		for i, j := range n.ones {
-			dense[i] = backing[i*words : (i+1)*words]
-			colOf[j] = i
-		}
-		for qi, q := range in.Log.Queries {
-			for _, j := range q.Ones() {
-				if i, ok := colOf[j]; ok {
-					dense[i][qi/64] |= 1 << (qi % 64)
-				}
-			}
-		}
-		for i := range dense {
-			cols[i] = bitvec.FromWords(nq, dense[i])
-		}
-	}
-
-	// satQ is the running set of queries containing every selected attribute;
-	// scoring candidate j is the weight of satQ ∧ cols[j] — a plain popcount
-	// dispatched on the column's representation when the log is unweighted,
-	// a membership-filtered weight sum otherwise. Both agree with the
-	// individual frequencies' units, so the tie-break against freq is
-	// comparing like with like.
-	satQ := bitvec.New(nq)
-	countAnd := func(col bitvec.Bits) int { return satQ.AndCount(col) }
-	if in.Log.Weights != nil {
-		wts := in.Log.Weights
-		countAnd = func(col bitvec.Bits) int {
-			t := 0
-			col.Range(func(qi int) bool {
-				if satQ.Get(qi) {
-					t += wts[qi]
-				}
-				return true
-			})
-			return t
-		}
-	}
-
+	picked := bitvec.New(in.Tuple.Width())
 	remaining := append([]int(nil), n.ones...)
-	var picked []int
-
-	pickBest := func(score func(j int) int) int {
-		bestIdx, bestScore, bestFreq := -1, -1, -1
-		for i, j := range remaining {
-			s := score(j)
-			if s > bestScore || (s == bestScore && freq[j] > bestFreq) {
-				bestIdx, bestScore, bestFreq = i, s, freq[j]
-			}
-		}
-		return bestIdx
-	}
+	scores := make([]int, len(remaining))
 
 	sp := tr.StartSpan("select")
-	rescans := 0
-	for len(picked) < n.m {
+	for step := 0; step < n.m; step++ {
 		if err := pollCtx(ctx); err != nil {
 			sp.End()
 			return Solution{}, fmt.Errorf("core: consume-attr-cumul: %w", err)
 		}
-		rescans++ // each step rescans every remaining candidate attribute
-		var idx int
-		if len(picked) == 0 {
-			idx = pickBest(func(j int) int { return freq[j] })
+		// scores[i] is the weight of the queries containing picked ∪
+		// {remaining[i]}: the attribute's frequency while nothing is picked.
+		scores = scores[:len(remaining)]
+		if n.segs != nil {
+			for i, j := range remaining {
+				picked.Set(j)
+				scores[i] = n.containing(picked)
+				picked.Clear(j)
+			}
 		} else {
-			idx = pickBest(func(j int) int { return countAnd(cols[colOf[j]]) })
+			cooccurScan(in.Log, picked, remaining, scores)
 		}
-		j := remaining[idx]
-		picked = append(picked, j)
-		col := cols[colOf[j]]
-		if len(picked) == 1 {
-			col.Range(func(qi int) bool { satQ.Set(qi); return true })
-		} else {
-			satQ.AndWith(col)
+		bestIdx, bestScore, bestFreq := -1, -1, -1
+		for i, j := range remaining {
+			if s := scores[i]; s > bestScore || (s == bestScore && freq[j] > bestFreq) {
+				bestIdx, bestScore, bestFreq = i, s, freq[j]
+			}
 		}
-		remaining = append(remaining[:idx], remaining[idx+1:]...)
+		picked.Set(remaining[bestIdx])
+		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
 	}
 	sp.End()
-	tr.Count("greedy.rescans", int64(rescans))
+	tr.Count("greedy.rescans", int64(n.m)) // each step rescans every remaining candidate attribute
 
-	kept := n.keep(picked)
-	return Solution{Kept: kept, Satisfied: n.score(kept)}, nil
+	return Solution{Kept: picked, Satisfied: n.score(picked)}, nil
+}
+
+// cooccurScan is ConsumeAttrCumul's scoring without an index, the reference
+// the indexed path is tested against: one pass over the log, in which every
+// query containing picked adds its weight to scores[i] for each remaining[i]
+// it also contains.
+func cooccurScan(log *dataset.QueryLog, picked bitvec.Vector, remaining, scores []int) {
+	for i := range scores {
+		scores[i] = 0
+	}
+	for qi, q := range log.Queries {
+		if !picked.SubsetOf(q) {
+			continue
+		}
+		w := log.Weight(qi)
+		for i, j := range remaining {
+			if q.Get(j) {
+				scores[i] += w
+			}
+		}
+	}
 }
 
 // ConsumeQueries greedily swallows whole queries: it repeatedly picks the

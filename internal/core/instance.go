@@ -266,6 +266,19 @@ func (n normalized) score(kept bitvec.Vector) int {
 	return n.log.Satisfied(kept)
 }
 
+// containing returns the total weight of log queries containing every
+// attribute of v, from the attached index: each segment ANDs v's columns
+// (index.Containing) and the per-segment sums add up exactly because every
+// query lives in exactly one segment. Index-attached path only.
+func (n normalized) containing(v bitvec.Vector) int {
+	total := 0
+	for i := range n.segs {
+		s := &n.segs[i]
+		total += s.idx.Containing(v, s.scratch)
+	}
+	return total
+}
+
 // fullFreq returns per-attribute weighted frequencies over the whole
 // (unrestricted) log — precomputed by the index when one is attached.
 func (n normalized) fullFreq() []int {

@@ -213,6 +213,9 @@ func (p *PreparedLog) Log() *dataset.QueryLog { return p.log }
 // Fingerprint returns the log's content hash at PrepareLog time.
 func (p *PreparedLog) Fingerprint() uint64 { return p.fp }
 
+// TotalWeight returns the log's total query weight at PrepareLog time.
+func (p *PreparedLog) TotalWeight() int { return p.seg.TotalWeight() }
+
 // Segments returns the number of index segments backing this prep: 1 after a
 // full PrepareLog, possibly more after incremental PrepareLogFrom builds.
 func (p *PreparedLog) Segments() int { return p.seg.Segments() }

@@ -6,6 +6,7 @@ import (
 
 	"standout/internal/bitvec"
 	"standout/internal/dataset"
+	"standout/internal/index"
 )
 
 // Batch counting oracles for the sharded scatter-gather layer
@@ -65,14 +66,34 @@ func CountSatisfied(ctx context.Context, log *dataset.QueryLog, cands []bitvec.V
 }
 
 // CountContaining returns, for each candidate, the total weight of log
-// queries containing it (queries q with q ⊇ cand). A single pass over the
-// log scores every candidate, so a greedy selection round costs one scan
-// regardless of how many candidates it weighs.
+// queries containing it (queries q with q ⊇ cand). When the context carries
+// a usable PreparedLog for log (WithPrepared), each count is the AND of the
+// candidate's attribute columns in every index segment (index.Containing),
+// summed over the segments; otherwise a single pass over the log scores
+// every candidate. Results are bit-identical either way.
 func CountContaining(ctx context.Context, log *dataset.QueryLog, cands []bitvec.Vector) ([]int, error) {
 	if err := validateCands(log, cands); err != nil {
 		return nil, err
 	}
 	counts := make([]int, len(cands))
+	if p := preparedFromContext(ctx); p != nil && p.usableFor(log) {
+		seg := p.seg
+		scratch := make([]*index.Scratch, seg.Segments())
+		for si := range scratch {
+			scratch[si] = seg.Segment(si).NewScratch()
+		}
+		for ci, cand := range cands {
+			if ci&pollMask == 0 {
+				if err := pollCtx(ctx); err != nil {
+					return nil, fmt.Errorf("core: count containing: %w", err)
+				}
+			}
+			for si, sc := range scratch {
+				counts[ci] += seg.Segment(si).Containing(cand, sc)
+			}
+		}
+		return counts, nil
+	}
 	for qi, q := range log.Queries {
 		if qi&pollMask == 0 {
 			if err := pollCtx(ctx); err != nil {

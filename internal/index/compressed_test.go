@@ -206,6 +206,72 @@ func TestScratchReuseNoAlloc(t *testing.T) {
 	}
 }
 
+// TestContainingMixedLayoutsNoAlloc pins the superset kernel on a log big
+// enough for Auto to mix representations — hot columns dense, cold columns
+// compressed — so the compressed working set is ANDed with dense columns.
+// Every mode must agree with a scan on weighted and unweighted logs, and a
+// warm scratch must make every call allocation-free.
+func TestContainingMixedLayoutsNoAlloc(t *testing.T) {
+	const width, nq = 128, 4096
+	rng := rand.New(rand.NewSource(5))
+	log := dataset.NewQueryLog(dataset.GenericSchema(width))
+	for i := 0; i < nq; i++ {
+		q := bitvec.New(width)
+		for a := 0; a < 4; a++ { // hot attributes 0..3, each in half the queries
+			if rng.Intn(2) == 0 {
+				q.Set(a)
+			}
+		}
+		q.Set(4 + rng.Intn(width-4)) // one cold attribute
+		log.Queries = append(log.Queries, q)
+	}
+	probes := []bitvec.Vector{
+		bitvec.New(width),
+		bitvec.FromIndices(width, 9),
+		bitvec.FromIndices(width, 0, 1),       // dense AND dense
+		bitvec.FromIndices(width, 0, 2, 3),    // three dense columns
+		bitvec.FromIndices(width, 1, 7),       // compressed first, then dense
+		bitvec.FromIndices(width, 0, 1, 2, 8), // compressed AND three dense
+		bitvec.FromIndices(width, 5, 6),       // two cold columns: empty
+	}
+	for _, weighted := range []bool{false, true} {
+		if weighted {
+			log.Weights = make([]int, nq)
+			for i := range log.Weights {
+				log.Weights[i] = 1 + i%7
+			}
+		}
+		for _, mode := range []Mode{Auto, ForceDense, ForceCompressed} {
+			ix, err := BuildWith(log, Options{Mode: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mode == Auto && (ix.ColumnCompressed(0) || !ix.ColumnCompressed(7)) {
+				t.Fatal("Auto did not mix dense hot columns with compressed cold ones")
+			}
+			sc := ix.NewScratch()
+			for _, v := range probes {
+				want := 0
+				for qi, q := range log.Queries {
+					if v.SubsetOf(q) {
+						want += log.Weight(qi)
+					}
+				}
+				if got := ix.Containing(v, sc); got != want {
+					t.Fatalf("weighted %t mode %d: Containing(%v) = %d, scan %d", weighted, mode, v.Ones(), got, want)
+				}
+				if got := ix.Containing(v, nil); got != want {
+					t.Fatalf("weighted %t mode %d: Containing(%v, nil) = %d, scan %d", weighted, mode, v.Ones(), got, want)
+				}
+				if allocs := testing.AllocsPerRun(20, func() { ix.Containing(v, sc) }); allocs != 0 {
+					t.Fatalf("weighted %t mode %d: Containing(%v) allocates %.1f/op with a scratch, want 0",
+						weighted, mode, v.Ones(), allocs)
+				}
+			}
+		}
+	}
+}
+
 func TestBitmapGetBounds(t *testing.T) {
 	b := Bitmap{0b101}
 	if !b.Get(0) || b.Get(1) || !b.Get(2) || b.Get(63) {

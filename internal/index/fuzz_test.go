@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math/rand"
 	"testing"
 
 	"standout/internal/bitvec"
@@ -249,6 +250,121 @@ func FuzzSegmentMerge(f *testing.F) {
 				seg = next
 			}
 			probe(step)
+		}
+	})
+}
+
+// FuzzContainingAgrees checks the superset kernel against a scan: for every
+// probed set v, Containing summed over a fuzzer-chosen split of the log into
+// segments equals the total weight of the queries q ⊇ v, in every
+// representation mode, for weighted and unweighted logs. The sum is exact
+// only because each query lives in exactly one segment — the property the
+// sharded /score and the segmented greedy both rest on.
+//
+// Input layout: byte 0 picks the width (1..16), byte 1 the query count
+// (0..40), byte 2 seeds the segment cuts and its low bit makes the log
+// weighted; each following byte pair forms one query's bit pattern, whose
+// bytes also derive its weight.
+func FuzzContainingAgrees(f *testing.F) {
+	f.Add([]byte{6, 4, 0, 0b11, 0, 0b101, 0, 0b111, 0, 0b110, 0})
+	f.Add([]byte{16, 3, 7, 0xff, 0xff, 0x0f, 0x80, 0xf0, 0x0f})
+	f.Add([]byte{9, 12, 0x55, 1, 0, 3, 0, 7, 0, 1, 1, 3, 1, 0x81, 0, 0xff, 1, 2, 0, 6, 0, 0x0e, 1, 1, 0})
+	f.Add([]byte{3, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		width := 1 + int(data[0])%16
+		nq := int(data[1]) % 41
+		weighted := data[2]&1 == 1
+		rng := rand.New(rand.NewSource(int64(data[2])))
+		data = data[3:]
+
+		log := dataset.NewQueryLog(dataset.GenericSchema(width))
+		for i := 0; i < nq && len(data) >= 2; i++ {
+			q := bitvec.New(width)
+			bits := uint16(data[0]) | uint16(data[1])<<8
+			for a := 0; a < width; a++ {
+				if bits&(1<<a) != 0 {
+					q.Set(a)
+				}
+			}
+			if q.Count() == 0 {
+				q.Set(i % width) // empty queries are rejected by Build
+			}
+			w := 1
+			if weighted {
+				w = 1 + int(data[0]^data[1])%5
+			}
+			data = data[2:]
+			if err := log.AppendWeighted(q, w); err != nil {
+				t.Fatalf("append: %v", err)
+			}
+		}
+		// Cut the log between queries with probability 1/3 per boundary.
+		cuts := []int{0}
+		for i := 1; i < log.Size(); i++ {
+			if rng.Intn(3) == 0 {
+				cuts = append(cuts, i)
+			}
+		}
+		cuts = append(cuts, log.Size())
+
+		scan := func(v bitvec.Vector) int {
+			n := 0
+			for qi, q := range log.Queries {
+				if v.SubsetOf(q) {
+					n += log.Weight(qi)
+				}
+			}
+			return n
+		}
+		// The full lattice on narrow schemas; every query and each query
+		// minus one attribute (the superset calls a greedy round makes) on
+		// wide ones.
+		var probes []bitvec.Vector
+		if width <= 8 {
+			for mask := 0; mask < 1<<width; mask++ {
+				v := bitvec.New(width)
+				for a := 0; a < width; a++ {
+					if mask&(1<<a) != 0 {
+						v.Set(a)
+					}
+				}
+				probes = append(probes, v)
+			}
+		} else {
+			probes = append(probes, bitvec.New(width))
+			for _, q := range log.Queries {
+				probes = append(probes, q)
+				for _, a := range q.Ones() {
+					v := q.Clone()
+					v.Clear(a)
+					probes = append(probes, v)
+				}
+			}
+		}
+
+		for _, mode := range []Mode{Auto, ForceDense, ForceCompressed} {
+			segs := make([]*Index, len(cuts)-1)
+			scratch := make([]*Scratch, len(segs))
+			for s := range segs {
+				ix, err := BuildWith(log.Window(cuts[s], cuts[s+1]), Options{Mode: mode})
+				if err != nil {
+					t.Fatalf("mode %d: BuildWith window [%d,%d): %v", mode, cuts[s], cuts[s+1], err)
+				}
+				segs[s], scratch[s] = ix, ix.NewScratch()
+			}
+			for _, v := range probes {
+				got := 0
+				for s, ix := range segs {
+					got += ix.Containing(v, scratch[s])
+				}
+				if want := scan(v); got != want {
+					t.Fatalf("mode %d: Containing(%s) over %d segments = %d, scan = %d (weighted %t, %d queries)",
+						mode, v, len(segs), got, want, weighted, log.Size())
+				}
+			}
 		}
 	})
 }

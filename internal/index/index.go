@@ -120,19 +120,18 @@ const (
 )
 
 // col is one stored query set — an attribute column or a size bucket — in
-// exactly one of the two representations.
+// exactly one of the two representations. set is the polymorphic read-only
+// view of the same storage, boxed once at Build: converting a dense bitmap
+// to bitvec.Bits on every use would allocate in the scoring loops.
 type col struct {
 	dense Bitmap             // nil iff compressed
 	comp  *bitvec.Compressed // nil iff dense
+	set   bitvec.Bits
 }
 
-// bits returns the polymorphic read-only view of the set.
-func (c col) bits(nq int) bitvec.Bits {
-	if c.comp != nil {
-		return c.comp
-	}
-	return bitvec.FromWords(nq, c.dense)
-}
+func denseCol(nq int, b Bitmap) col { return col{dense: b, set: bitvec.FromWords(nq, b)} }
+
+func compCol(c *bitvec.Compressed) col { return col{comp: c, set: c} }
 
 // Index is an immutable inverted index over one query log.
 type Index struct {
@@ -240,14 +239,14 @@ func BuildWith(log *dataset.QueryLog, opts Options) (*Index, error) {
 	slabCols, next := nDense, 0
 	var zero col
 	if opts.Mode == ForceCompressed {
-		zero = col{comp: bitvec.NewCompressed(nq)}
+		zero = compCol(bitvec.NewCompressed(nq))
 	} else {
 		slabCols++
 		next = words
 	}
 	slab := make([]uint64, slabCols*words)
 	if zero.comp == nil {
-		zero.dense = Bitmap(slab[:words])
+		zero = denseCol(nq, Bitmap(slab[:words]))
 	}
 	ix.allDense = true
 	for a := 0; a < width; a++ {
@@ -258,10 +257,10 @@ func BuildWith(log *dataset.QueryLog, opts Options) (*Index, error) {
 				ix.allDense = false
 			}
 		case compress(ix.freq[a]):
-			ix.cols[a] = col{comp: bitvec.NewCompressed(nq)}
+			ix.cols[a] = compCol(bitvec.NewCompressed(nq))
 			ix.allDense = false
 		default:
-			ix.cols[a] = col{dense: Bitmap(slab[next : next+words])}
+			ix.cols[a] = denseCol(nq, Bitmap(slab[next:next+words]))
 			next += words
 		}
 	}
@@ -295,12 +294,12 @@ func BuildWith(log *dataset.QueryLog, opts Options) (*Index, error) {
 			}
 		}
 		if compress(count) {
-			ix.buckets[k] = col{comp: bitvec.CompressedFrom(bitvec.FromWords(nq, cum))}
+			ix.buckets[k] = compCol(bitvec.CompressedFrom(bitvec.FromWords(nq, cum)))
 			ix.allDense = false
 		} else {
 			b := make(Bitmap, words)
 			copy(b, cum)
-			ix.buckets[k] = col{dense: b}
+			ix.buckets[k] = denseCol(nq, b)
 		}
 	}
 	return ix, nil
@@ -399,7 +398,7 @@ func (ix *Index) QueriesWith(a int) Bitmap {
 // polymorphic set. Read-only: the value shares the index's storage.
 func (ix *Index) Column(a int) bitvec.Bits {
 	ix.checkAttr(a)
-	return ix.cols[a].bits(ix.nq)
+	return ix.cols[a].set
 }
 
 // ColumnCompressed reports whether attribute a's column is stored in the
@@ -443,12 +442,14 @@ func (ix *Index) SizeAtMost(k int) Bitmap {
 
 // Scratch is the reusable working set of the scoring methods: a dense word
 // buffer and a compressed set, so whichever representation a candidate set
-// arrives in can be copied and peeled without touching the allocator. One
-// Scratch serves one goroutine; create per-worker copies for parallel
-// scoring (core's normalized.shard does).
+// arrives in can be copied and peeled without touching the allocator, plus
+// the attribute list Containing collects. One Scratch serves one goroutine;
+// create per-worker copies for parallel scoring (core's normalized.shard
+// does).
 type Scratch struct {
 	words Bitmap
 	comp  *bitvec.Compressed
+	attrs []int
 }
 
 // NewScratch returns a Scratch sized for this index.
@@ -496,7 +497,7 @@ func (ix *Index) CandidateSet(t bitvec.Vector) bitvec.Bits {
 			if ix.freq[a] == 0 || t.Get(a) {
 				continue
 			}
-			rem -= out.AndNotWith(ix.cols[a].bits(ix.nq))
+			rem -= out.AndNotWith(ix.cols[a].set)
 		}
 		return out
 	}
@@ -526,7 +527,7 @@ func (ix *Index) Satisfied(v bitvec.Vector) int {
 	if !ok {
 		return 0
 	}
-	return ix.SatisfiedWithinBits(b.bits(ix.nq), v, nil)
+	return ix.SatisfiedWithinBits(b.set, v, nil)
 }
 
 // SatisfiedWithin counts the queries of cand that are contained in v,
@@ -576,7 +577,7 @@ func (ix *Index) SatisfiedWithinBits(cand bitvec.Bits, v bitvec.Vector, sc *Scra
 		if ix.freq[a] == 0 || v.Get(a) {
 			continue
 		}
-		rem -= sc.comp.AndNotWith(ix.cols[a].bits(ix.nq))
+		rem -= sc.comp.AndNotWith(ix.cols[a].set)
 	}
 	return ix.weightComp(sc.comp, rem)
 }
@@ -643,9 +644,77 @@ func (ix *Index) SatisfiedDroppingBits(cand bitvec.Bits, drop []int, sc *Scratch
 		if ix.freq[a] == 0 {
 			continue
 		}
-		rem -= sc.comp.AndNotWith(ix.cols[a].bits(ix.nq))
+		rem -= sc.comp.AndNotWith(ix.cols[a].set)
 	}
 	return ix.weightComp(sc.comp, rem)
+}
+
+// Containing returns the total weight of the indexed queries that contain
+// every attribute of v — the plain count |{q : q ⊇ v}| for an unweighted
+// log. It is the co-occurrence score of the cumulative greedy and the
+// "superset" count a shard answers. The empty set is in every query and one
+// attribute's count is its weighted frequency; otherwise the queries
+// containing v are the AND of v's columns, taken from the sparsest column
+// on and stopped as soon as the working set is empty. sc may be nil (a
+// fresh scratch is allocated); a warm scratch makes the call allocation-
+// free.
+func (ix *Index) Containing(v bitvec.Vector, sc *Scratch) int {
+	if v.Width() != ix.width {
+		panic(fmt.Sprintf("index: vector width %d, index width %d", v.Width(), ix.width))
+	}
+	if sc == nil {
+		sc = ix.NewScratch()
+	}
+	// Collect v's attributes, keeping the sparsest at the front.
+	attrs := sc.attrs[:0]
+	for wi, w := range v.Words() {
+		for ; w != 0; w &= w - 1 {
+			a := wi*64 + bits.TrailingZeros64(w)
+			attrs = append(attrs, a)
+			if last := len(attrs) - 1; ix.freq[a] < ix.freq[attrs[0]] {
+				attrs[0], attrs[last] = a, attrs[0]
+			}
+		}
+	}
+	sc.attrs = attrs
+	switch {
+	case len(attrs) == 0:
+		return ix.totalWeight
+	case len(attrs) == 1 || ix.freq[attrs[0]] == 0:
+		return ix.wfreq[attrs[0]]
+	}
+	if c := ix.cols[attrs[0]]; c.comp != nil {
+		sc.comp.CopyFrom(c.comp)
+		rem := ix.freq[attrs[0]]
+		for _, a := range attrs[1:] {
+			if rem = sc.comp.AndWith(ix.cols[a].set); rem == 0 {
+				return 0
+			}
+		}
+		return ix.weightComp(sc.comp, rem)
+	}
+	set := sc.words
+	copy(set, ix.cols[attrs[0]].dense)
+	for _, a := range attrs[1:] {
+		c := ix.cols[a]
+		if c.comp != nil {
+			// Build compresses only the sparsest columns, so a column busier
+			// than a dense one is dense too; this keeps any layout exact.
+			if bitvec.FromWords(ix.nq, set).AndWith(c.comp) == 0 {
+				return 0
+			}
+			continue
+		}
+		live := uint64(0)
+		for w := range set {
+			set[w] &= c.dense[w]
+			live |= set[w]
+		}
+		if live == 0 {
+			return 0
+		}
+	}
+	return ix.weightDense(set, -1)
 }
 
 // denseOf views cand's words, materializing through the scratch buffer only

@@ -99,18 +99,19 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	start := time.Now()
+	// Both oracles answer from the shared index; a missing or still-building
+	// prep falls back to plain scans, bit-identically.
+	pctx := ctx
+	p, perr := s.prep.get(ctx, log)
+	if perr == nil {
+		pctx = core.WithPrepared(ctx, p)
+	}
 	var counts []int
 	var err error
 	if req.Mode == "subset" {
-		// The subset oracle benefits from the shared index; a missing or
-		// still-building prep falls back to plain scans, bit-identically.
-		pctx := ctx
-		if p, perr := s.prep.get(ctx, log); perr == nil {
-			pctx = core.WithPrepared(ctx, p)
-		}
 		counts, err = core.CountSatisfied(pctx, log, cands)
 	} else {
-		counts, err = core.CountContaining(ctx, log, cands)
+		counts, err = core.CountContaining(pctx, log, cands)
 	}
 	elapsed := time.Since(start)
 	s.met.latency.ObserveExemplar(elapsed.Seconds(), obsv.TraceIDStringFromContext(ctx))
@@ -118,13 +119,22 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		s.writeSolveError(ctx, w, err)
 		return
 	}
+	// A usable prep already holds the snapshot's fingerprint and total
+	// weight; the log would recompute each with a pass over its queries.
+	var total int
+	var fp uint64
+	if perr == nil && usable(p, log) {
+		total, fp = p.TotalWeight(), p.Fingerprint()
+	} else {
+		total, fp = log.TotalWeight(), log.Fingerprint()
+	}
 	writeJSON(r.Context(), w, http.StatusOK, scoreResponse{
 		Counts:      counts,
 		Queries:     log.Size(),
-		TotalWeight: log.TotalWeight(),
+		TotalWeight: total,
 		Width:       log.Width(),
 		Version:     log.Version(),
-		Fingerprint: fmt.Sprintf("%016x", log.Fingerprint()),
+		Fingerprint: fmt.Sprintf("%016x", fp),
 		ElapsedMS:   float64(elapsed) / float64(time.Millisecond),
 	})
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -45,6 +46,10 @@ func TestScoreEndpointMatchesCore(t *testing.T) {
 		if resp.TotalWeight != log.TotalWeight() || resp.Queries != log.Size() || resp.Width != log.Width() {
 			t.Errorf("%s snapshot: %d×%d w%d, log is %d×%d w%d", mode,
 				resp.Queries, resp.TotalWeight, resp.Width, log.Size(), log.TotalWeight(), log.Width())
+		}
+		if fp := fmt.Sprintf("%016x", log.Fingerprint()); resp.Fingerprint != fp || resp.Version != log.Version() {
+			t.Errorf("%s snapshot: fingerprint %s version %d, log is %s version %d", mode,
+				resp.Fingerprint, resp.Version, fp, log.Version())
 		}
 	}
 

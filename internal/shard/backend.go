@@ -74,11 +74,11 @@ func (l *Local) Log() *dataset.QueryLog { return l.log }
 
 // Score implements Backend.
 func (l *Local) Score(ctx context.Context, mode Mode, cands []bitvec.Vector) ([]int, error) {
+	if l.prep != nil && !l.prep.Stale() {
+		ctx = core.WithPrepared(ctx, l.prep)
+	}
 	switch mode {
 	case Subset:
-		if l.prep != nil && !l.prep.Stale() {
-			ctx = core.WithPrepared(ctx, l.prep)
-		}
 		return core.CountSatisfied(ctx, l.log, cands)
 	case Superset:
 		return core.CountContaining(ctx, l.log, cands)

@@ -630,7 +630,9 @@ func (c *Coordinator) bruteOnce(ctx context.Context, tuple bitvec.Vector, ones [
 				first = false
 			}
 		}
-		batch = batch[:0]
+		// A fresh batch, not batch[:0]: an abandoned hedge or retry of this
+		// round may still be reading the old one.
+		batch = nil
 		return nil
 	}
 
@@ -775,8 +777,10 @@ func errOrInjected(err error) error {
 // quantile (or the configured cold-start delay); the first response wins and
 // the loser's context is cancelled.
 func (c *Coordinator) attempt(ctx context.Context, s *shardState, mode Mode, cands []bitvec.Vector) ([]int, error) {
-	actx, cancel := context.WithTimeout(ctx, c.cfg.ShardTimeout)
-	defer cancel()
+	tctx, cancelTimeout := context.WithTimeout(ctx, c.cfg.ShardTimeout)
+	defer cancelTimeout()
+	actx, cancel := context.WithCancelCause(tctx)
+	defer cancel(nil)
 
 	type ares struct {
 		counts []int
@@ -816,7 +820,7 @@ func (c *Coordinator) attempt(ctx context.Context, s *shardState, mode Mode, can
 						tr.Count("shard.hedge_wins", 1)
 					}
 				}
-				cancel() // first response wins; the loser is cancelled
+				cancel(errHedgeLost) // first response wins; the loser is cancelled
 				return r.counts, nil
 			}
 			lastErr = r.err
@@ -839,9 +843,13 @@ func (c *Coordinator) attempt(ctx context.Context, s *shardState, mode Mode, can
 	return nil, lastErr
 }
 
-// invoke is the innermost shard call, carrying the fault sites every backend
-// kind shares: shard.slow (delay rules here exercise hedging) and shard.solve
-// (error rules exercise retries and the breaker).
+// errHedgeLost is the cancellation cause attempt gives the slower of a
+// hedged pair once its sibling has answered.
+var errHedgeLost = errors.New("shard: hedge sibling answered first")
+
+// invoke is the innermost shard call, counted and traced. A call cancelled
+// because its hedge sibling won did not fail and is not counted as a call
+// error.
 func (c *Coordinator) invoke(ctx context.Context, s *shardState, mode Mode, cands []bitvec.Vector) ([]int, error) {
 	c.met.shardCalls.Add(1)
 	var sp obsv.Span
@@ -849,21 +857,28 @@ func (c *Coordinator) invoke(ctx context.Context, s *shardState, mode Mode, cand
 		sp = tr.StartSpan("shard." + s.id)
 		defer sp.End()
 	}
-	if err := fault.Hit(ctx, "shard.slow"); err != nil {
+	counts, err := c.call(ctx, s, mode, cands)
+	if err != nil && !errors.Is(context.Cause(ctx), errHedgeLost) {
 		c.met.shardErrors.Add(1)
+	}
+	return counts, err
+}
+
+// call carries the fault sites every backend kind shares: shard.slow (delay
+// rules here exercise hedging) and shard.solve (error rules exercise retries
+// and the breaker).
+func (c *Coordinator) call(ctx context.Context, s *shardState, mode Mode, cands []bitvec.Vector) ([]int, error) {
+	if err := fault.Hit(ctx, "shard.slow"); err != nil {
 		return nil, fmt.Errorf("shard %s: %w", s.id, err)
 	}
 	if err := fault.Hit(ctx, "shard.solve"); err != nil {
-		c.met.shardErrors.Add(1)
 		return nil, fmt.Errorf("shard %s: %w", s.id, err)
 	}
 	counts, err := s.be.Score(ctx, mode, cands)
 	if err != nil {
-		c.met.shardErrors.Add(1)
 		return nil, err
 	}
 	if len(counts) != len(cands) {
-		c.met.shardErrors.Add(1)
 		return nil, fmt.Errorf("shard %s: %d counts for %d candidates", s.id, len(counts), len(cands))
 	}
 	return counts, nil

@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -329,6 +330,107 @@ func TestHedgeRacesSlowPrimary(t *testing.T) {
 	checkIdentical(t, "hedged", got, want)
 	if co.met.hedges.Value() == 0 || co.met.hedgeWins.Value() == 0 {
 		t.Errorf("hedges=%d hedgeWins=%d, want both > 0", co.met.hedges.Value(), co.met.hedgeWins.Value())
+	}
+}
+
+// TestHealthyHedgingCountsNoCallErrors: shards that always answer, but
+// slowly enough that every cold-start attempt hedges, must leave the call
+// error counter at zero — the cancelled slower half of a hedged pair did
+// not fail.
+func TestHealthyHedgingCountsNoCallErrors(t *testing.T) {
+	c := fixedCase(t)
+	backends := localBackends(t, c.log, 2)
+	for i, b := range backends {
+		backends[i] = &hookBackend{inner: b, hook: func(ctx context.Context, _ int64) error {
+			select {
+			case <-time.After(3 * time.Millisecond):
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}}
+	}
+	cfg := testConfig(backends, c.log.Schema)
+	cfg.DisableHedge = false
+	cfg.HedgeAfter = time.Millisecond
+	co, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	for _, algo := range diffAlgos {
+		got, err := co.Solve(context.Background(), c.tuple, c.m, algo.name)
+		if err != nil {
+			t.Fatalf("%s: %v", algo.name, err)
+		}
+		want, err := algo.solver.Solve(core.Instance{Log: c.log, Tuple: c.tuple, M: c.m})
+		if err != nil {
+			t.Fatalf("%s unsharded: %v", algo.name, err)
+		}
+		checkIdentical(t, algo.name, got, want)
+	}
+	if co.met.hedges.Value() == 0 {
+		t.Fatal("no hedge launched; the test needs calls slower than the hedge delay")
+	}
+	if n := co.met.shardErrors.Value(); n != 0 {
+		t.Errorf("healthy fleet counted %d call errors over %d calls and %d hedges, want 0",
+			n, co.met.shardCalls.Value(), co.met.hedges.Value())
+	}
+}
+
+// lingerBackend keeps reading each call's candidates after Score has
+// returned, as an abandoned hedge or retry still encoding its request does.
+type lingerBackend struct {
+	Backend
+	wg sync.WaitGroup
+}
+
+func (l *lingerBackend) Score(ctx context.Context, mode Mode, cands []bitvec.Vector) ([]int, error) {
+	counts, err := l.Backend.Score(ctx, mode, cands)
+	l.wg.Add(1)
+	go func() {
+		defer l.wg.Done()
+		for _, c := range cands {
+			_ = c.String()
+		}
+	}()
+	return counts, err
+}
+
+// TestBruteRoundsKeepAbandonedBatches: a brute enumeration spanning several
+// scatter rounds must not refill a round's candidate slice while a call that
+// outlived the round still reads it. `go test -race` reports the reuse.
+func TestBruteRoundsKeepAbandonedBatches(t *testing.T) {
+	log := testLog(t, 11, 14, 200)
+	tuple := bitvec.New(14)
+	for a := 0; a < 14; a++ {
+		tuple.Set(a)
+	}
+	const m = 4 // C(14,4) = 1001 candidates: four scatter rounds
+	inner := localBackends(t, log, 2)
+	lingering := make([]*lingerBackend, len(inner))
+	backends := make([]Backend, len(inner))
+	for i, b := range inner {
+		lingering[i] = &lingerBackend{Backend: b}
+		backends[i] = lingering[i]
+	}
+	co, err := New(testConfig(backends, log.Schema))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	got, err := co.Solve(context.Background(), tuple, m, "brute")
+	for _, l := range lingering {
+		l.wg.Wait()
+	}
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	want, err := core.BruteForce{}.Solve(core.Instance{Log: log, Tuple: tuple, M: m})
+	if err != nil {
+		t.Fatalf("unsharded: %v", err)
+	}
+	checkIdentical(t, "brute", got, want)
+	if got.Solution.Stats.Candidates != 1001 {
+		t.Errorf("enumerated %d candidates, want 1001", got.Solution.Stats.Candidates)
 	}
 }
 

@@ -47,7 +47,7 @@ func newMetrics(r *obsv.Registry) *metrics {
 		shardCalls: r.Counter("standout_shard_calls_total",
 			"Scatter attempts dispatched to shard backends (including hedges and retries)."),
 		shardErrors: r.Counter("standout_shard_call_errors_total",
-			"Scatter attempts that failed."),
+			"Scatter attempts that failed; the slower call of a hedged pair, cancelled once the other answered, is not a failure."),
 		retries: r.Counter("standout_shard_retries_total",
 			"Scatter attempts beyond a call's first (backoff retries)."),
 		hedges: r.Counter("standout_shard_hedges_total",
