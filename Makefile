@@ -22,11 +22,12 @@ test:
 # The solver core is the concurrency-heavy part (SolveBatchContext, the
 # shared PreparedLog index + solution memo, the LRU); race-test it on every
 # check, together with the bitvec layer whose compressed sets the index
-# shares read-only across workers and the obsv layer whose lock-free flight
-# ring is written by every request. `go test -race ./...` also works but
-# takes much longer on the bench package.
+# shares read-only across workers, the obsv layer whose lock-free flight
+# ring is written by every request, and the httpx plumbing (admission gate,
+# tracing middleware) both servers share. `go test -race ./...` also works
+# but takes much longer on the bench package.
 test-race:
-	go test -race ./internal/bitvec/... ./internal/compact/... ./internal/core/... ./internal/cache/... ./internal/estimate/... ./internal/index/... ./internal/ilp/... ./internal/itemsets/... ./internal/par/... ./internal/serve/... ./internal/shard/... ./internal/fault/... ./internal/obsv/...
+	go test -race ./internal/bitvec/... ./internal/compact/... ./internal/core/... ./internal/cache/... ./internal/estimate/... ./internal/index/... ./internal/ilp/... ./internal/itemsets/... ./internal/par/... ./internal/serve/... ./internal/shard/... ./internal/httpx/... ./internal/fault/... ./internal/obsv/...
 
 # 30 seconds of fault-injected chaos storms against the serving layer under
 # the race detector: injected panics, delays, forced staleness, live log
@@ -52,8 +53,8 @@ cover:
 # >= 85% statement coverage. Every internal package must be classified —
 # gated or exempt — so a new package cannot silently dodge the gate.
 COVER_GATED := internal/bitvec internal/index internal/compact internal/cache internal/par internal/estimate
-COVER_EXEMPT := internal/bench internal/core internal/dataset internal/fault internal/gen internal/ilp \
-	internal/itemsets internal/lp internal/obsv internal/serve internal/shard internal/sim \
+COVER_EXEMPT := internal/bench internal/core internal/dataset internal/fault internal/gen internal/httpx \
+	internal/ilp internal/itemsets internal/lp internal/obsv internal/serve internal/shard internal/sim \
 	internal/text internal/topk internal/variants
 
 cover-gate:
@@ -107,9 +108,9 @@ quick-experiments:
 fuzz:
 	go test -fuzz FuzzExactSolversAgree -fuzztime 60s ./internal/core
 
-# ~30s fuzz smoke for CI: a short budget on every fuzz target, seeded by the
-# committed corpora under testdata/fuzz/, so regressions the corpora encode
-# are caught on every run and a little fresh exploration happens too.
+# ~2 minute fuzz smoke for CI: a short budget on every fuzz target, seeded by
+# the committed corpora under testdata/fuzz/, so regressions the corpora
+# encode are caught on every run and a little fresh exploration happens too.
 fuzz-smoke:
 	go test -fuzz FuzzVectorAlgebra -fuzztime 6s ./internal/bitvec
 	go test -fuzz FuzzCompressedAlgebra -fuzztime 8s ./internal/bitvec
@@ -118,4 +119,10 @@ fuzz-smoke:
 	go test -fuzz FuzzContainingAgrees -fuzztime 8s ./internal/index
 	go test -fuzz FuzzCompactEquivalence -fuzztime 6s ./internal/compact
 	go test -fuzz FuzzExactSolversAgree -fuzztime 14s ./internal/core
+	go test -fuzz FuzzIndexedSolveAgrees -fuzztime 6s ./internal/core
+	go test -fuzz FuzzSolveCounterAdditive -fuzztime 8s ./internal/core
 	go test -fuzz FuzzEstimateSoundness -fuzztime 8s ./internal/estimate
+	go test -fuzz FuzzReadTableCSV -fuzztime 4s ./internal/dataset
+	go test -fuzz FuzzParseTuple -fuzztime 4s ./internal/dataset
+	go test -fuzz FuzzScoreHandler -fuzztime 6s ./internal/httpx
+	go test -fuzz FuzzCoordinatorSolve -fuzztime 6s ./internal/httpx

@@ -2,9 +2,9 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
+	"standout/internal/bitvec"
 	"standout/internal/obsv"
 	"standout/internal/par"
 )
@@ -32,17 +32,21 @@ func (b BruteForce) Solve(in Instance) (Solution, error) {
 	return b.SolveContext(context.Background(), in)
 }
 
-// SolveContext implements Solver. The combination enumeration polls ctx every
-// pollMask+1 evaluated candidates, so cancellation latency is bounded by 64
-// log scans regardless of how large C(|t|, m) is.
+// SolveContext implements Solver. The enumeration scores candidates in
+// Satisfied calls of bruteBatch, each polling ctx every pollMask+1
+// candidates, so cancellation latency is bounded by 64 log scans regardless
+// of how large C(|t|, m) is.
 func (s BruteForce) SolveContext(ctx context.Context, in Instance) (Solution, error) {
-	obs := beginSolve(ctx, s.Name(), in)
-	sol, err := s.solve(ctx, in, obs.tr)
-	return obs.end(ctx, sol, err)
+	return solveCounting(ctx, s, in)
 }
 
-// bfShard enumerates the m-combinations of n.ones sharing one fixed
-// lexicographic prefix (indices into n.ones), tracking the shard's
+// bruteBatch bounds the candidates of one Satisfied call: large enough to
+// amortize a coordinator's scatter round trip, small enough to keep each
+// call's work on a shard preemptible.
+const bruteBatch = 256
+
+// bfShard enumerates the m-combinations of ones sharing one fixed
+// lexicographic prefix (indices into ones), tracking the shard's
 // first-maximum candidate.
 type bfShard struct {
 	prefix [2]int // comb[0] (and comb[1] when m ≥ 2), as indices into ones
@@ -53,122 +57,119 @@ type bfShard struct {
 	candidates int
 }
 
-func (s BruteForce) solve(ctx context.Context, in Instance, tr *obsv.Trace) (Solution, error) {
-	if err := ctx.Err(); err != nil {
-		return Solution{}, fmt.Errorf("core: brute force: %w", err)
+// count issues, when m < |t|, Satisfied calls of up to bruteBatch
+// candidates in lexicographic order (one call of the empty compression when
+// m = 0); the first candidate achieving the maximum wins. Over the
+// instance's own state with Workers > 1, prefix shards of the enumeration
+// run in parallel, each scoring through its own workspace.
+func (s BruteForce) count(ctx context.Context, c Counter, tuple bitvec.Vector, ones []int, m int, tr *obsv.Trace) (Solution, error) {
+	if m >= len(ones) {
+		return whole(ctx, c, tuple)
 	}
-	n, err := normalize(ctx, in)
-	if err != nil {
-		return Solution{}, err
-	}
-	if n.exact {
-		return n.full(), nil
-	}
-	if n.m == 0 {
-		// The empty compression is the only candidate.
-		kept := n.keep(nil)
-		sol := Solution{Kept: kept, Satisfied: n.score(kept), Optimal: true}
-		sol.Stats.Candidates = 1
-		tr.Count("bruteforce.candidates", 1)
-		return sol, nil
-	}
-
-	// Shard the combination space on its leading elements: one shard per
-	// feasible comb[0] (m == 1) or (comb[0], comb[1]) pair (m ≥ 2). Shards
-	// are generated — and later merged — in lexicographic order, which is
-	// exactly the order the sequential recursion visits them.
-	var shards []bfShard
-	if s.Workers > 1 {
-		if n.m == 1 {
-			for i := 0; i <= len(n.ones)-1; i++ {
-				shards = append(shards, bfShard{prefix: [2]int{i}, plen: 1})
-			}
-		} else {
-			for i := 0; i <= len(n.ones)-n.m; i++ {
-				for j := i + 1; j <= len(n.ones)-(n.m-1); j++ {
-					shards = append(shards, bfShard{prefix: [2]int{i, j}, plen: 2})
-				}
-			}
-		}
-	}
-
 	sp := tr.StartSpan("enumerate")
 	var best Solution
 	var candidates int
-	if len(shards) < 2 {
-		best, candidates, err = s.enumerate(ctx, n, bfShard{})
+	var err error
+	if n, ok := c.(*normalized); ok && s.Workers > 1 && m > 0 {
+		best, candidates, err = s.enumerateSharded(ctx, n, tuple.Width(), ones, m)
 	} else {
-		best, candidates, err = s.enumerateSharded(ctx, n, shards)
+		best, candidates, err = enumerate(ctx, c, tuple.Width(), ones, m, bfShard{})
 	}
 	sp.End()
 	tr.Count("bruteforce.candidates", int64(candidates))
 	if err != nil {
-		return Solution{}, fmt.Errorf("core: brute force: %w", err)
+		return Solution{}, err
 	}
 	best.Optimal = true
 	best.Stats.Candidates = candidates
 	return best, nil
 }
 
-// enumerate walks the m-combinations of n.ones in lexicographic order —
-// restricted to sh's prefix when sh.plen > 0 — and returns the first-maximum
-// candidate plus the number of candidates scored. It owns its comb/attrs
-// buffers and must be given a normalized with unshared scoring scratch when
-// called concurrently (see normalized.shard).
-func (BruteForce) enumerate(ctx context.Context, n normalized, sh bfShard) (Solution, int, error) {
-	best := Solution{}
-	first := true
-	comb := make([]int, n.m)
-	attrs := make([]int, n.m)
+// enumerate walks the m-combinations of ones in lexicographic order —
+// restricted to sh's prefix when sh.plen > 0 — scoring them in Satisfied
+// calls of up to bruteBatch candidates, and returns the first-maximum
+// candidate plus the number of candidates scored. The batch vectors are
+// refilled in place between calls; only a new best is cloned.
+func enumerate(ctx context.Context, c Counter, width int, ones []int, m int, sh bfShard) (Solution, int, error) {
+	var best Solution
 	candidates := 0
-	var ctxErr error
-
-	var rec func(start, depth int)
-	rec = func(start, depth int) {
-		if ctxErr != nil {
-			return
+	var batch []bitvec.Vector
+	n := 0
+	flush := func() error {
+		counts, err := c.Satisfied(ctx, batch[:n])
+		if err != nil {
+			return err
 		}
-		if depth == n.m {
-			if candidates&pollMask == 0 {
-				if ctxErr = pollCtx(ctx); ctxErr != nil {
-					return
-				}
-			}
-			for i, idx := range comb {
-				attrs[i] = n.ones[idx]
-			}
-			kept := n.keep(attrs)
-			sat := n.score(kept)
-			candidates++
-			if first || sat > best.Satisfied {
-				best.Kept = kept
+		for i, sat := range counts {
+			if candidates == 0 || sat > best.Satisfied {
+				best.Kept = batch[i].Clone()
 				best.Satisfied = sat
-				first = false
 			}
-			return
+			candidates++
 		}
-		for i := start; i <= len(n.ones)-(n.m-depth); i++ {
+		n = 0
+		return nil
+	}
+
+	comb := make([]int, m)
+	var rec func(start, depth int) error
+	rec = func(start, depth int) error {
+		if depth == m {
+			if n == len(batch) {
+				batch = append(batch, bitvec.New(width))
+			}
+			v := batch[n]
+			clear(v.Words())
+			for _, idx := range comb {
+				v.Set(ones[idx])
+			}
+			if n++; n == bruteBatch {
+				return flush()
+			}
+			return nil
+		}
+		for i := start; i <= len(ones)-(m-depth); i++ {
 			comb[depth] = i
-			rec(i+1, depth+1)
+			if err := rec(i+1, depth+1); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
 	start := 0
 	for d := 0; d < sh.plen; d++ {
 		comb[d] = sh.prefix[d]
 		start = sh.prefix[d] + 1
 	}
-	rec(start, sh.plen)
-	if ctxErr != nil {
-		return Solution{}, candidates, ctxErr
+	err := rec(start, sh.plen)
+	if err == nil && n > 0 {
+		err = flush()
+	}
+	if err != nil {
+		return Solution{}, candidates, err
 	}
 	return best, candidates, nil
 }
 
-// enumerateSharded fans the prefix shards over internal/par workers, then
-// folds the shard-local bests in lexicographic shard order with the same
-// strict-improvement rule the sequential loop applies per candidate — an
-// exact reconstruction of the sequential first-maximum winner.
-func (s BruteForce) enumerateSharded(ctx context.Context, n normalized, shards []bfShard) (Solution, int, error) {
+// enumerateSharded splits the combination space on its leading elements —
+// one shard per feasible comb[0] (m == 1) or (comb[0], comb[1]) pair (m ≥ 2)
+// — fans the shards over internal/par workers, then folds the shard-local
+// bests in lexicographic shard order with the same strict-improvement rule
+// the sequential loop applies per candidate: an exact reconstruction of the
+// sequential first-maximum winner.
+func (s BruteForce) enumerateSharded(ctx context.Context, n *normalized, width int, ones []int, m int) (Solution, int, error) {
+	var shards []bfShard
+	if m == 1 {
+		for i := 0; i <= len(ones)-1; i++ {
+			shards = append(shards, bfShard{prefix: [2]int{i}, plen: 1})
+		}
+	} else {
+		for i := 0; i <= len(ones)-m; i++ {
+			for j := i + 1; j <= len(ones)-(m-1); j++ {
+				shards = append(shards, bfShard{prefix: [2]int{i, j}, plen: 2})
+			}
+		}
+	}
 	workers := s.Workers
 	if workers > len(shards) {
 		workers = len(shards)
@@ -184,7 +185,7 @@ func (s BruteForce) enumerateSharded(ctx context.Context, n normalized, shards [
 		sh := &shards[i]
 		sc := scratch.Get().(*normalized)
 		defer scratch.Put(sc)
-		best, cands, err := s.enumerate(ctx, *sc, *sh)
+		best, cands, err := enumerate(ctx, sc, width, ones, m, *sh)
 		if err != nil {
 			return err
 		}

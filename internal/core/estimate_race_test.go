@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"standout/internal/bitvec"
 	"standout/internal/estimate"
@@ -89,7 +91,12 @@ func TestEstimateSharedPrepConcurrent(t *testing.T) {
 					if err != nil {
 						if errors.Is(err, ErrStalePrep) && attempt < 100 {
 							staleRetries.Add(1)
-							continue // reload the latest generation, like serve does
+							// Reload the latest generation, like serve does, once
+							// the writer has published one past the touched g.
+							for deadline := time.Now().Add(10 * time.Second); cur.Load() == g && time.Now().Before(deadline); {
+								runtime.Gosched()
+							}
+							continue
 						}
 						t.Errorf("g%d solve %d: %v", gid, i, err)
 						return

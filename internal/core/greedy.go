@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"standout/internal/bitvec"
-	"standout/internal/dataset"
 	"standout/internal/obsv"
 )
 
@@ -28,36 +27,46 @@ func (s ConsumeAttr) Solve(in Instance) (Solution, error) {
 }
 
 // SolveContext implements Solver. ConsumeAttr does a constant number of
-// linear passes over the log, so a single up-front cancellation check is the
-// only one needed.
+// counting passes, so a single up-front cancellation check is the only one
+// needed.
 func (s ConsumeAttr) SolveContext(ctx context.Context, in Instance) (Solution, error) {
-	obs := beginSolve(ctx, s.Name(), in)
-	sol, err := s.solve(ctx, in, obs.tr)
-	return obs.end(ctx, sol, err)
+	return solveCounting(ctx, s, in)
 }
 
-func (ConsumeAttr) solve(ctx context.Context, in Instance, tr *obsv.Trace) (Solution, error) {
-	if err := ctx.Err(); err != nil {
-		return Solution{}, fmt.Errorf("core: consume-attr: %w", err)
-	}
-	n, err := normalize(ctx, in)
-	if err != nil {
-		return Solution{}, err
-	}
-	if n.exact {
-		sol := n.full()
-		sol.Optimal = true
-		return sol, nil
+// count issues one Containing call of the tuple's singletons (the
+// frequencies), then one Satisfied call of the kept set.
+func (ConsumeAttr) count(ctx context.Context, c Counter, tuple bitvec.Vector, ones []int, m int, tr *obsv.Trace) (Solution, error) {
+	if m >= len(ones) {
+		return whole(ctx, c, tuple)
 	}
 	// Per §IV.D the frequencies come from the full query log, not just the
-	// queries the tuple can satisfy; an attached index has them precomputed.
+	// queries the tuple can satisfy.
 	sp := tr.StartSpan("select")
-	freq := n.fullFreq()
-	picked := topByFreq(n.ones, freq, n.m)
-	kept := n.keep(picked)
+	freq, err := c.Containing(ctx, singletons(tuple.Width(), ones))
+	if err != nil {
+		sp.End()
+		return Solution{}, err
+	}
+	positions := make([]int, len(ones)) // freq is indexed by position in ones
+	for i := range positions {
+		positions[i] = i
+	}
+	kept := bitvec.New(tuple.Width())
+	for _, i := range topByFreq(positions, freq, m) {
+		kept.Set(ones[i])
+	}
 	sp.End()
 	tr.Count("greedy.rescans", 1) // one frequency pass over the whole log
-	return Solution{Kept: kept, Satisfied: n.score(kept)}, nil
+	return satisfied(ctx, c, kept)
+}
+
+// singletons returns {a} for every attribute a of ones, backed by one array.
+func singletons(width int, ones []int) []bitvec.Vector {
+	out := vectors(width, len(ones))
+	for i, a := range ones {
+		out[i].Set(a)
+	}
+	return out
 }
 
 // topByFreq returns the k attributes among candidates with the highest
@@ -72,14 +81,9 @@ func topByFreq(candidates []int, freq []int, k int) []int {
 // with the highest individual frequency and repeatedly adds the attribute
 // co-occurring most frequently with everything selected so far (the weight
 // of log queries containing all selected attributes plus the candidate).
-// When no remaining attribute co-occurs with the current selection, the
-// remaining slots fall back to individual frequency order.
-//
-// With an index attached, scoring a candidate j is one superset count of
-// picked ∪ {j}: per segment, the AND of those attributes' columns, sparsest
-// first with early exit (index.Containing), never touching the log itself.
-// Without one, each step is one scan of the log: every query containing the
-// selection adds its weight to each remaining attribute it also contains.
+// Ties go to the more frequent attribute, then to the lower index. When no
+// remaining attribute co-occurs with the current selection, the remaining
+// slots therefore fall back to individual frequency order.
 type ConsumeAttrCumul struct{}
 
 // Name implements Solver.
@@ -91,84 +95,66 @@ func (s ConsumeAttrCumul) Solve(in Instance) (Solution, error) {
 }
 
 // SolveContext implements Solver. Cancellation is polled once per selection
-// step; a step costs at most |t| superset counts, or one scan of the log
-// without an index.
+// step; a step costs one Containing call of at most |t| candidates, which an
+// index answers per segment by ANDing columns, and the scan path in one pass
+// over the log.
 func (s ConsumeAttrCumul) SolveContext(ctx context.Context, in Instance) (Solution, error) {
-	obs := beginSolve(ctx, s.Name(), in)
-	sol, err := s.solve(ctx, in, obs.tr)
-	return obs.end(ctx, sol, err)
+	return solveCounting(ctx, s, in)
 }
 
-func (ConsumeAttrCumul) solve(ctx context.Context, in Instance, tr *obsv.Trace) (Solution, error) {
-	if err := ctx.Err(); err != nil {
-		return Solution{}, fmt.Errorf("core: consume-attr-cumul: %w", err)
-	}
-	n, err := normalize(ctx, in)
-	if err != nil {
-		return Solution{}, err
-	}
-	if n.exact {
-		return n.full(), nil
+// count issues one Containing call of the tuple's singletons (the
+// frequencies, which also score the first pick), then one Containing call
+// per further pick scoring picked ∪ {j} for every remaining j, then one
+// Satisfied call of the kept set.
+func (ConsumeAttrCumul) count(ctx context.Context, c Counter, tuple bitvec.Vector, ones []int, m int, tr *obsv.Trace) (Solution, error) {
+	if m >= len(ones) {
+		return whole(ctx, c, tuple)
 	}
 	// Co-occurrence is scored against the whole log, like the individual
 	// frequencies (§IV.D), so scores and the freq tie-break share units.
-	freq := n.fullFreq()
-	picked := bitvec.New(in.Tuple.Width())
-	remaining := append([]int(nil), n.ones...)
-	scores := make([]int, len(remaining))
-
 	sp := tr.StartSpan("select")
-	for step := 0; step < n.m; step++ {
+	cands := singletons(tuple.Width(), ones)
+	freq, err := c.Containing(ctx, cands)
+	if err != nil {
+		sp.End()
+		return Solution{}, err
+	}
+	picked := bitvec.New(tuple.Width())
+	remaining := make([]int, len(ones)) // positions into ones
+	for i := range remaining {
+		remaining[i] = i
+	}
+	scores := freq
+	for step := 0; step < m; step++ {
 		if err := pollCtx(ctx); err != nil {
 			sp.End()
-			return Solution{}, fmt.Errorf("core: consume-attr-cumul: %w", err)
+			return Solution{}, err
 		}
-		// scores[i] is the weight of the queries containing picked ∪
-		// {remaining[i]}: the attribute's frequency while nothing is picked.
-		scores = scores[:len(remaining)]
-		if n.segs != nil {
-			for i, j := range remaining {
-				picked.Set(j)
-				scores[i] = n.containing(picked)
-				picked.Clear(j)
+		if step > 0 {
+			// scores[k] is the weight of the queries containing picked ∪
+			// {ones[remaining[k]]}; the candidate vectors are refilled in place.
+			for k, i := range remaining {
+				copy(cands[k].Words(), picked.Words())
+				cands[k].Set(ones[i])
 			}
-		} else {
-			cooccurScan(in.Log, picked, remaining, scores)
-		}
-		bestIdx, bestScore, bestFreq := -1, -1, -1
-		for i, j := range remaining {
-			if s := scores[i]; s > bestScore || (s == bestScore && freq[j] > bestFreq) {
-				bestIdx, bestScore, bestFreq = i, s, freq[j]
+			if scores, err = c.Containing(ctx, cands[:len(remaining)]); err != nil {
+				sp.End()
+				return Solution{}, err
 			}
 		}
-		picked.Set(remaining[bestIdx])
-		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
+		best := 0
+		for k := 1; k < len(remaining); k++ {
+			s, bs := scores[k], scores[best]
+			if s > bs || (s == bs && freq[remaining[k]] > freq[remaining[best]]) {
+				best = k
+			}
+		}
+		picked.Set(ones[remaining[best]])
+		remaining = append(remaining[:best], remaining[best+1:]...)
 	}
 	sp.End()
-	tr.Count("greedy.rescans", int64(n.m)) // each step rescans every remaining candidate attribute
-
-	return Solution{Kept: picked, Satisfied: n.score(picked)}, nil
-}
-
-// cooccurScan is ConsumeAttrCumul's scoring without an index, the reference
-// the indexed path is tested against: one pass over the log, in which every
-// query containing picked adds its weight to scores[i] for each remaining[i]
-// it also contains.
-func cooccurScan(log *dataset.QueryLog, picked bitvec.Vector, remaining, scores []int) {
-	for i := range scores {
-		scores[i] = 0
-	}
-	for qi, q := range log.Queries {
-		if !picked.SubsetOf(q) {
-			continue
-		}
-		w := log.Weight(qi)
-		for i, j := range remaining {
-			if q.Get(j) {
-				scores[i] += w
-			}
-		}
-	}
+	tr.Count("greedy.rescans", int64(m)) // each step rescans every remaining candidate attribute
+	return satisfied(ctx, c, picked)
 }
 
 // ConsumeQueries greedily swallows whole queries: it repeatedly picks the

@@ -149,7 +149,8 @@ func (s Solution) AttrNames(schema *dataset.Schema) []string {
 // from the index's candidate bitmap instead of a full scan, and score runs
 // word-parallel over dropped-attribute columns instead of rescanning
 // queries. Results are bit-identical either way — the differential sweep in
-// differential_test.go pins that.
+// differential_test.go pins that. A *normalized is also the Counter the
+// counting solvers run their bodies over (counter.go).
 type normalized struct {
 	in    Instance
 	log   *dataset.QueryLog // queries ⊆ tuple
@@ -264,19 +265,6 @@ func (n normalized) score(kept bitvec.Vector) int {
 		return total
 	}
 	return n.log.Satisfied(kept)
-}
-
-// containing returns the total weight of log queries containing every
-// attribute of v, from the attached index: each segment ANDs v's columns
-// (index.Containing) and the per-segment sums add up exactly because every
-// query lives in exactly one segment. Index-attached path only.
-func (n normalized) containing(v bitvec.Vector) int {
-	total := 0
-	for i := range n.segs {
-		s := &n.segs[i]
-		total += s.idx.Containing(v, s.scratch)
-	}
-	return total
 }
 
 // fullFreq returns per-attribute weighted frequencies over the whole

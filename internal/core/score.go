@@ -75,9 +75,9 @@ func CountContaining(ctx context.Context, log *dataset.QueryLog, cands []bitvec.
 	if err := validateCands(log, cands); err != nil {
 		return nil, err
 	}
-	counts := make([]int, len(cands))
 	if p := preparedFromContext(ctx); p != nil && p.usableFor(log) {
 		seg := p.seg
+		counts := make([]int, len(cands))
 		scratch := make([]*index.Scratch, seg.Segments())
 		for si := range scratch {
 			scratch[si] = seg.Segment(si).NewScratch()
@@ -94,10 +94,21 @@ func CountContaining(ctx context.Context, log *dataset.QueryLog, cands []bitvec.
 		}
 		return counts, nil
 	}
+	counts, err := containingScan(ctx, log, cands)
+	if err != nil {
+		return nil, fmt.Errorf("core: count containing: %w", err)
+	}
+	return counts, nil
+}
+
+// containingScan answers Containing in one pass over the log: each query
+// adds its weight to every candidate it contains.
+func containingScan(ctx context.Context, log *dataset.QueryLog, cands []bitvec.Vector) ([]int, error) {
+	counts := make([]int, len(cands))
 	for qi, q := range log.Queries {
 		if qi&pollMask == 0 {
 			if err := pollCtx(ctx); err != nil {
-				return nil, fmt.Errorf("core: count containing: %w", err)
+				return nil, err
 			}
 		}
 		w := log.Weight(qi)

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"standout/internal/bitvec"
 	"standout/internal/fault"
@@ -100,12 +102,17 @@ func TestSegmentedPrepConcurrentAppendAndCompaction(t *testing.T) {
 				tuple := tuples[(gid*solvesPer+i)%len(tuples)]
 				// Retry loop: a Touch racing the solve surfaces ErrStalePrep;
 				// the recovery is to reload the latest generation — exactly
-				// what the serving layer's retry does.
+				// what the serving layer's retry does. The writer publishes
+				// the next generation only after rebuilding, so wait for it
+				// rather than spend the retries reloading the touched one.
 				for attempt := 0; ; attempt++ {
 					g := cur.Load()
 					sol, err := g.prep.SolveContext(context.Background(), s, tuple, 4)
 					if err != nil {
 						if errors.Is(err, ErrStalePrep) && attempt < 50 {
+							for deadline := time.Now().Add(10 * time.Second); cur.Load() == g && time.Now().Before(deadline); {
+								runtime.Gosched()
+							}
 							continue
 						}
 						t.Errorf("g%d solve %d: %v", gid, i, err)

@@ -209,7 +209,7 @@ func (s *Server) attempt(ctx context.Context, solver core.Solver, log *dataset.Q
 			if p != nil {
 				s.prep.invalidate(p)
 			}
-			if serr := sleepCtx(ctx, s.prep.backoffFor(try+1)); serr != nil {
+			if serr := s.prep.backoff.Sleep(ctx, try+1); serr != nil {
 				return core.Solution{}, serr
 			}
 			continue

@@ -2,12 +2,11 @@ package serve
 
 import (
 	"context"
-	"math/rand"
 	"sync"
-	"time"
 
 	"standout/internal/core"
 	"standout/internal/dataset"
+	"standout/internal/httpx"
 )
 
 // prepCache is the server's single-flight holder of the shared PreparedLog.
@@ -24,22 +23,13 @@ type prepCache struct {
 	err  error         // outcome of the last finished build
 
 	buildCtx context.Context // server base context: carries the injector
+	backoff  *httpx.Backoff
 	retries  int
-	backoff  time.Duration
 	met      *metrics
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
 }
 
-func newPrepCache(buildCtx context.Context, seed int64, retries int, backoff time.Duration, met *metrics) *prepCache {
-	return &prepCache{
-		buildCtx: buildCtx,
-		retries:  retries,
-		backoff:  backoff,
-		met:      met,
-		rng:      rand.New(rand.NewSource(seed)),
-	}
+func newPrepCache(buildCtx context.Context, backoff *httpx.Backoff, retries int, met *metrics) *prepCache {
+	return &prepCache{buildCtx: buildCtx, backoff: backoff, retries: retries, met: met}
 }
 
 // usable reports whether p can serve solves of log right now.
@@ -123,7 +113,7 @@ func (c *prepCache) build(prev *core.PreparedLog, log *dataset.QueryLog) (*core.
 	for attempt := 0; attempt <= c.retries; attempt++ {
 		if attempt > 0 {
 			c.met.prepRetries.Add(1)
-			if err := sleepCtx(c.buildCtx, c.backoffFor(attempt)); err != nil {
+			if err := c.backoff.Sleep(c.buildCtx, attempt); err != nil {
 				return nil, err
 			}
 		}
@@ -144,16 +134,6 @@ func (c *prepCache) build(prev *core.PreparedLog, log *dataset.QueryLog) (*core.
 	return nil, lastErr
 }
 
-// backoffFor is base<<(attempt-1) plus up to 100% seeded jitter, so
-// rebuilding herds desynchronize deterministically under a fixed seed.
-func (c *prepCache) backoffFor(attempt int) time.Duration {
-	base := c.backoff << (attempt - 1)
-	c.rngMu.Lock()
-	j := time.Duration(c.rng.Int63n(int64(base) + 1))
-	c.rngMu.Unlock()
-	return base + j
-}
-
 // invalidate drops a cached prep built for an older log generation so the
 // next get starts fresh. Harmless if another generation already replaced it.
 func (c *prepCache) invalidate(old *core.PreparedLog) {
@@ -169,16 +149,4 @@ func (c *prepCache) snapshot() *core.PreparedLog {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.cur
-}
-
-// sleepCtx blocks for d or until ctx is done.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
@@ -10,6 +9,7 @@ import (
 	"standout/internal/bitvec"
 	"standout/internal/core"
 	"standout/internal/dataset"
+	"standout/internal/httpx"
 	"standout/internal/obsv"
 )
 
@@ -35,7 +35,7 @@ type scoreRequest struct {
 }
 
 type scoreResponse struct {
-	TraceID string `json:"trace_id,omitempty"`
+	httpx.Stamp
 	// Counts has one total per candidate, aligned with the request order.
 	Counts []int `json:"counts"`
 	// Log-snapshot facts, so a coordinator can detect mid-request log swaps.
@@ -53,29 +53,24 @@ type schemaResponse struct {
 }
 
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(r.Context(), w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only"})
+	if !httpx.Allow(w, r, http.MethodPost) {
 		return
 	}
 	s.met.requests.Add(1)
 	var req scoreRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20)).Decode(&req); err != nil {
-		writeJSON(r.Context(), w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+	if !httpx.Decode(w, r, 64<<20, &req) {
 		return
 	}
 	if req.Mode != "subset" && req.Mode != "superset" {
-		writeJSON(r.Context(), w, http.StatusBadRequest, errorResponse{
-			Error: fmt.Sprintf("unknown mode %q (have subset, superset)", req.Mode)})
+		httpx.WriteError(r.Context(), w, http.StatusBadRequest, fmt.Sprintf("unknown mode %q (have subset, superset)", req.Mode))
 		return
 	}
 	if len(req.Candidates) == 0 {
-		writeJSON(r.Context(), w, http.StatusBadRequest, errorResponse{Error: "empty candidates"})
+		httpx.WriteError(r.Context(), w, http.StatusBadRequest, "empty candidates")
 		return
 	}
 	if len(req.Candidates) > s.cfg.MaxBatch {
-		writeJSON(r.Context(), w, http.StatusBadRequest, errorResponse{
-			Error: fmt.Sprintf("batch of %d exceeds limit %d", len(req.Candidates), s.cfg.MaxBatch)})
+		httpx.WriteError(r.Context(), w, http.StatusBadRequest, fmt.Sprintf("batch of %d exceeds limit %d", len(req.Candidates), s.cfg.MaxBatch))
 		return
 	}
 	log := s.CurrentLog()
@@ -83,7 +78,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	for i, spec := range req.Candidates {
 		cand, err := dataset.ParseTuple(log.Schema, spec)
 		if err != nil {
-			writeJSON(r.Context(), w, http.StatusBadRequest, errorResponse{Error: "bad candidate: " + err.Error()})
+			httpx.WriteError(r.Context(), w, http.StatusBadRequest, "bad candidate: "+err.Error())
 			return
 		}
 		cands[i] = cand
@@ -93,7 +88,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(ctx, w) {
 		return
 	}
-	defer s.adm.release()
+	defer s.adm.Release()
 
 	ctx, cancel := context.WithTimeout(ctx, s.timeoutFor(req.TimeoutMS))
 	defer cancel()
@@ -128,7 +123,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	} else {
 		total, fp = log.TotalWeight(), log.Fingerprint()
 	}
-	writeJSON(r.Context(), w, http.StatusOK, scoreResponse{
+	httpx.WriteJSON(r.Context(), w, http.StatusOK, &scoreResponse{
 		Counts:      counts,
 		Queries:     log.Size(),
 		TotalWeight: total,
@@ -143,13 +138,11 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 // can parse tuples and render kept-attribute names without holding any
 // workload of its own.
 func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeJSON(r.Context(), w, http.StatusMethodNotAllowed, errorResponse{Error: "GET only"})
+	if !httpx.Allow(w, r, http.MethodGet) {
 		return
 	}
 	log := s.CurrentLog()
-	writeJSON(r.Context(), w, http.StatusOK, schemaResponse{
+	httpx.WriteJSON(r.Context(), w, http.StatusOK, schemaResponse{
 		Attrs: log.Schema.Attrs(),
 		Width: log.Width(),
 	})

@@ -32,13 +32,11 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"time"
 
@@ -46,6 +44,7 @@ import (
 	"standout/internal/core"
 	"standout/internal/dataset"
 	"standout/internal/fault"
+	"standout/internal/httpx"
 	"standout/internal/obsv"
 )
 
@@ -187,11 +186,10 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg    Config
 	met    *metrics
-	adm    *admission
+	adm    *httpx.Gate
 	prep   *prepCache
 	mux    *http.ServeMux
 	flight *obsv.Flight
-	logger *slog.Logger
 
 	baseCtx context.Context
 	stop    context.CancelFunc
@@ -218,21 +216,24 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		met:     newMetrics(cfg.Registry),
 		flight:  obsv.NewFlight(cfg.FlightSize, cfg.SlowThreshold, cfg.SampleEvery),
-		logger:  cfg.Logger,
 		baseCtx: baseCtx,
 		stop:    stop,
 		log:     cfg.Log,
 	}
-	s.adm = newAdmission(cfg.MaxConcurrent, cfg.MaxQueue, s.met)
-	s.prep = newPrepCache(baseCtx, cfg.Seed, cfg.RebuildRetries, cfg.RebuildBackoff, s.met)
+	s.adm = httpx.NewGate(cfg.MaxConcurrent, cfg.MaxQueue, s.met.inflight, s.met.queueDepth)
+	s.prep = newPrepCache(baseCtx, httpx.NewBackoff(cfg.RebuildBackoff, cfg.Seed), cfg.RebuildRetries, s.met)
+	mw := &httpx.Middleware{Flight: s.flight, Slow: cfg.SlowThreshold, Logger: cfg.Logger, OnPanic: func() {
+		s.met.panics.Add(1)
+		s.met.failures.Add(1)
+	}}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/solve", s.traced("/solve", s.recovered(s.handleSolve)))
-	s.mux.HandleFunc("/solve/batch", s.traced("/solve/batch", s.recovered(s.handleBatch)))
-	s.mux.HandleFunc("/score", s.traced("/score", s.recovered(s.handleScore)))
+	s.mux.HandleFunc("/solve", mw.Route("/solve", s.handleSolve))
+	s.mux.HandleFunc("/solve/batch", mw.Route("/solve/batch", s.handleBatch))
+	s.mux.HandleFunc("/score", mw.Route("/score", s.handleScore))
 	s.mux.HandleFunc("/schema", s.handleSchema)
-	s.mux.HandleFunc("/log", s.traced("/log", s.recovered(s.handleLog)))
-	s.mux.HandleFunc("/log/touch", s.traced("/log/touch", s.recovered(s.handleTouch)))
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
+	s.mux.HandleFunc("/log", mw.Route("/log", s.handleLog))
+	s.mux.HandleFunc("/log/touch", mw.Route("/log/touch", s.handleTouch))
+	s.mux.HandleFunc("/healthz", httpx.Healthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.Handle("/metrics", obsv.Handler(cfg.Registry))
 	s.mux.Handle("/debug/requests", s.flight.Handler())
@@ -242,6 +243,10 @@ func New(cfg Config) (*Server, error) {
 
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
+
+// Flight returns the server's flight recorder (nil when disabled), for tests
+// and embedding processes that want programmatic access to recent requests.
+func (s *Server) Flight() *obsv.Flight { return s.flight }
 
 // Close stops background work (in-flight rebuild sleeps, readiness kicks).
 // In-flight requests finish on their own deadlines.
@@ -282,29 +287,6 @@ func (s *Server) reqCtx(r *http.Request) context.Context {
 	return ctx
 }
 
-// recovered is the outermost panic boundary: anything that escapes a handler
-// (handler bugs, panics outside the solve path's own boundary) becomes a 500
-// instead of killing the connection and, under http.Server's default
-// behavior, leaving a half-dead process.
-func (s *Server) recovered(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				s.met.panics.Add(1)
-				s.met.failures.Add(1)
-				info := noteInfo(r.Context())
-				info.panicked = true
-				info.errMsg = fmt.Sprintf("panic: %v", rec)
-				writeJSON(r.Context(), w, http.StatusInternalServerError, errorResponse{
-					Error: fmt.Sprintf("panic: %v", rec), Panic: true,
-				})
-				_ = debug.Stack() // keep the capture cheap but explicit
-			}
-		}()
-		h(w, r)
-	}
-}
-
 // Request/response bodies.
 
 type solveRequest struct {
@@ -321,9 +303,9 @@ type solveRequest struct {
 }
 
 type solveResponse struct {
-	// TraceID echoes the request's distributed trace ID (also in the
+	// Stamp echoes the request's distributed trace ID (also in the
 	// X-Request-Id and traceparent response headers).
-	TraceID   string   `json:"trace_id,omitempty"`
+	httpx.Stamp
 	Kept      []string `json:"kept"`
 	KeptBits  string   `json:"kept_bits"`
 	Satisfied int      `json:"satisfied"`
@@ -371,7 +353,7 @@ type batchItem struct {
 }
 
 type batchResponse struct {
-	TraceID string      `json:"trace_id,omitempty"`
+	httpx.Stamp
 	Results []batchItem `json:"results"`
 	// Error carries the batch-level failure (first failing tuple), if any;
 	// Results still holds everything that completed before cancellation.
@@ -398,68 +380,19 @@ type appendRequest struct {
 	Weights []int `json:"weights,omitempty"`
 }
 
-type errorResponse struct {
-	// TraceID echoes the request's distributed trace ID, so error reports
-	// can be joined with /debug/requests records and histogram exemplars.
-	TraceID string `json:"trace_id,omitempty"`
-	Error   string `json:"error"`
-	Panic   bool   `json:"panic,omitempty"`
-	// RetryAfterMS accompanies 429 shed responses.
-	RetryAfterMS int `json:"retry_after_ms,omitempty"`
-}
-
-// writeJSON writes the response body, stamping the request's trace ID into
-// body types that carry one (solve, batch and error responses).
-func writeJSON(ctx context.Context, w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(stamp(ctx, v))
-}
+// errorResponse is the body of every error response.
+type errorResponse = httpx.ErrorBody
 
 // timeoutFor clamps the request's timeout wish into (0, MaxTimeout].
 func (s *Server) timeoutFor(ms int) time.Duration {
-	d := time.Duration(ms) * time.Millisecond
-	if d <= 0 {
-		d = s.cfg.DefaultTimeout
-	}
-	if d > s.cfg.MaxTimeout {
-		d = s.cfg.MaxTimeout
-	}
-	return d
-}
-
-// admitErr runs the admission gate for one request: nil means a slot was
-// acquired (the caller must release it), errShed means the queue was full,
-// anything else is a 503-worthy failure.
-func (s *Server) admitErr(ctx context.Context) error {
-	if err := fault.Hit(ctx, "serve.admit"); err != nil {
-		return err
-	}
-	return s.adm.acquire(ctx)
-}
-
-// writeAdmitError maps an admission failure to its response: a full queue is
-// a 429 with a Retry-After hint, anything else a 503.
-func (s *Server) writeAdmitError(ctx context.Context, w http.ResponseWriter, err error) {
-	if errors.Is(err, errShed) {
-		s.met.shed.Add(1)
-		noteInfo(ctx).shed = true
-		w.Header().Set("Retry-After", "1")
-		writeJSON(ctx, w, http.StatusTooManyRequests, errorResponse{
-			Error: "overloaded: admission queue full", RetryAfterMS: 1000,
-		})
-		return
-	}
-	s.met.failures.Add(1)
-	noteInfo(ctx).errMsg = err.Error()
-	writeJSON(ctx, w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
+	return httpx.Timeout(ms, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
 }
 
 // admit runs the admission gate for one request, returning false after
 // writing the 429/503 response itself.
 func (s *Server) admit(ctx context.Context, w http.ResponseWriter) bool {
-	if err := s.admitErr(ctx); err != nil {
-		s.writeAdmitError(ctx, w, err)
+	if err := s.adm.Admit(ctx); err != nil {
+		httpx.WriteAdmitError(ctx, w, err, s.met.shed, s.met.failures)
 		return false
 	}
 	return true
@@ -497,9 +430,9 @@ func (s *Server) shedEstimate(ctx context.Context, w http.ResponseWriter, log *d
 	if degraded {
 		s.met.degraded.Add(1)
 	}
-	info := noteInfo(ctx)
-	info.algo, info.solver, info.degraded = algo, "estimate", degraded
-	writeJSON(ctx, w, http.StatusOK, solveResponse{
+	info := httpx.InfoFrom(ctx)
+	info.Algo, info.Solver, info.Degraded = algo, "estimate", degraded
+	httpx.WriteJSON(ctx, w, http.StatusOK, &solveResponse{
 		Kept:      sol.AttrNames(log.Schema),
 		KeptBits:  sol.Kept.String(),
 		Satisfied: sol.Satisfied,
@@ -514,33 +447,30 @@ func (s *Server) shedEstimate(ctx context.Context, w http.ResponseWriter, log *d
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(r.Context(), w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only"})
+	if !httpx.Allow(w, r, http.MethodPost) {
 		return
 	}
 	s.met.requests.Add(1)
 	var req solveRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeJSON(r.Context(), w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+	if !httpx.Decode(w, r, 1<<20, &req) {
 		return
 	}
 	log := s.CurrentLog()
 	tuple, algo, status, errMsg := s.validateSolve(log, req.Tuple, req.M, req.Algo)
 	if status != 0 {
-		writeJSON(r.Context(), w, status, errorResponse{Error: errMsg})
+		httpx.WriteError(r.Context(), w, status, errMsg)
 		return
 	}
 
 	ctx := s.reqCtx(r)
-	if err := s.admitErr(ctx); err != nil {
-		if errors.Is(err, errShed) && s.shedEstimate(ctx, w, log, tuple, req.M, algo, req.TimeoutMS) {
+	if err := s.adm.Admit(ctx); err != nil {
+		if errors.Is(err, httpx.ErrShed) && s.shedEstimate(ctx, w, log, tuple, req.M, algo, req.TimeoutMS) {
 			return
 		}
-		s.writeAdmitError(ctx, w, err)
+		httpx.WriteAdmitError(ctx, w, err, s.met.shed, s.met.failures)
 		return
 	}
-	defer s.adm.release()
+	defer s.adm.Release()
 
 	ctx, cancel := context.WithTimeout(ctx, s.timeoutFor(req.TimeoutMS))
 	defer cancel()
@@ -549,8 +479,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	sol, used, degraded, err := s.solveLadder(ctx, algo, log, tuple, req.M)
 	elapsed := time.Since(start)
 	s.met.latency.ObserveExemplar(elapsed.Seconds(), obsv.TraceIDStringFromContext(ctx))
-	info := noteInfo(ctx)
-	info.algo, info.solver, info.degraded = algo, used, degraded
+	info := httpx.InfoFrom(ctx)
+	info.Algo, info.Solver, info.Degraded = algo, used, degraded
 	if err != nil {
 		s.writeSolveError(ctx, w, err)
 		return
@@ -561,7 +491,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if sol.Estimated {
 		s.met.estimated.Add(1)
 	}
-	writeJSON(r.Context(), w, http.StatusOK, solveResponse{
+	httpx.WriteJSON(r.Context(), w, http.StatusOK, &solveResponse{
 		Kept:      sol.AttrNames(log.Schema),
 		KeptBits:  sol.Kept.String(),
 		Satisfied: sol.Satisfied,
@@ -598,44 +528,40 @@ func (s *Server) validateSolve(log *dataset.QueryLog, tupleSpec string, m int, a
 // is 504, client cancellation 503, panics and injected faults 500 — always a
 // well-formed JSON body, never a hung or half-written connection.
 func (s *Server) writeSolveError(ctx context.Context, w http.ResponseWriter, err error) {
-	info := noteInfo(ctx)
-	info.errMsg = err.Error()
+	info := httpx.InfoFrom(ctx)
+	info.Err = err.Error()
 	var pe *core.PanicError
 	switch {
 	case errors.As(err, &pe):
 		s.met.failures.Add(1)
-		info.panicked = true
-		writeJSON(ctx, w, http.StatusInternalServerError, errorResponse{Error: err.Error(), Panic: true})
+		info.Panicked = true
+		httpx.WriteJSON(ctx, w, http.StatusInternalServerError, &errorResponse{Error: err.Error(), Panic: true})
 	case errors.Is(err, context.DeadlineExceeded):
 		s.met.timeouts.Add(1)
-		writeJSON(ctx, w, http.StatusGatewayTimeout, errorResponse{Error: "deadline exceeded before any rung completed"})
+		httpx.WriteError(ctx, w, http.StatusGatewayTimeout, "deadline exceeded before any rung completed")
 	case errors.Is(err, context.Canceled):
-		writeJSON(ctx, w, http.StatusServiceUnavailable, errorResponse{Error: "request canceled"})
+		httpx.WriteError(ctx, w, http.StatusServiceUnavailable, "request canceled")
 	default:
 		s.met.failures.Add(1)
-		writeJSON(ctx, w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		httpx.WriteError(ctx, w, http.StatusInternalServerError, err.Error())
 	}
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(r.Context(), w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only"})
+	if !httpx.Allow(w, r, http.MethodPost) {
 		return
 	}
 	s.met.requests.Add(1)
 	var req batchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20)).Decode(&req); err != nil {
-		writeJSON(r.Context(), w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+	if !httpx.Decode(w, r, 64<<20, &req) {
 		return
 	}
 	if len(req.Tuples) == 0 {
-		writeJSON(r.Context(), w, http.StatusBadRequest, errorResponse{Error: "empty tuples"})
+		httpx.WriteError(r.Context(), w, http.StatusBadRequest, "empty tuples")
 		return
 	}
 	if len(req.Tuples) > s.cfg.MaxBatch {
-		writeJSON(r.Context(), w, http.StatusBadRequest, errorResponse{
-			Error: fmt.Sprintf("batch of %d exceeds limit %d", len(req.Tuples), s.cfg.MaxBatch)})
+		httpx.WriteError(r.Context(), w, http.StatusBadRequest, fmt.Sprintf("batch of %d exceeds limit %d", len(req.Tuples), s.cfg.MaxBatch))
 		return
 	}
 	log := s.CurrentLog()
@@ -643,12 +569,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		req.Algo = "mfi-exact"
 	}
 	if _, ok := algorithms[req.Algo]; !ok {
-		writeJSON(r.Context(), w, http.StatusBadRequest, errorResponse{
-			Error: fmt.Sprintf("unknown algo %q (have %v)", req.Algo, AlgoNames())})
+		httpx.WriteError(r.Context(), w, http.StatusBadRequest, fmt.Sprintf("unknown algo %q (have %v)", req.Algo, AlgoNames()))
 		return
 	}
 	if req.M < 0 {
-		writeJSON(r.Context(), w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("negative budget m=%d", req.M)})
+		httpx.WriteError(r.Context(), w, http.StatusBadRequest, fmt.Sprintf("negative budget m=%d", req.M))
 		return
 	}
 
@@ -671,7 +596,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(ctx, w) {
 		return
 	}
-	defer s.adm.release()
+	defer s.adm.Release()
 
 	ctx, cancel := context.WithTimeout(ctx, s.timeoutFor(req.TimeoutMS))
 	defer cancel()
@@ -700,13 +625,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	elapsed := time.Since(start)
 	s.met.latency.ObserveExemplar(elapsed.Seconds(), obsv.TraceIDStringFromContext(ctx))
-	info := noteInfo(ctx)
-	info.algo, info.solver, info.degraded = req.Algo, algo, degraded
+	info := httpx.InfoFrom(ctx)
+	info.Algo, info.Solver, info.Degraded = req.Algo, algo, degraded
 
 	if batchErr != nil && len(sols) == 0 && errors.Is(batchErr, context.DeadlineExceeded) {
 		s.met.timeouts.Add(1)
-		info.errMsg = "batch deadline exceeded"
-		writeJSON(r.Context(), w, http.StatusGatewayTimeout, errorResponse{Error: "batch deadline exceeded"})
+		httpx.WriteError(r.Context(), w, http.StatusGatewayTimeout, "batch deadline exceeded")
 		return
 	}
 
@@ -742,14 +666,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if batchErr != nil {
 		resp.Error = batchErr.Error()
-		info.errMsg = batchErr.Error()
+		info.Err = batchErr.Error()
 		var pe *core.PanicError
 		if errors.As(batchErr, &pe) {
 			s.met.panics.Add(1)
-			info.panicked = true
+			info.Panicked = true
 		}
 	}
-	writeJSON(r.Context(), w, http.StatusOK, resp)
+	httpx.WriteJSON(r.Context(), w, http.StatusOK, &resp)
 }
 
 // batchAlgo picks the batch's solver tier from the remaining budget: the
@@ -761,9 +685,7 @@ func (s *Server) batchAlgo(ctx context.Context, algo string) (string, bool) {
 	}
 	remaining := time.Until(deadline)
 	floor := s.cfg.ExactBudget
-	if greedyNames[algo] {
-		floor = 0
-	} else if algo == "mfi" || algo == "mfi-exact" {
+	if algo == "mfi" || algo == "mfi-exact" {
 		floor = s.cfg.MFIBudget
 	}
 	if remaining >= floor {
@@ -779,20 +701,19 @@ func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 		log := s.CurrentLog()
-		writeJSON(r.Context(), w, http.StatusOK, logStats(log))
+		httpx.WriteJSON(r.Context(), w, http.StatusOK, logStats(log))
 	case http.MethodPost:
 		var req appendRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20)).Decode(&req); err != nil {
-			writeJSON(r.Context(), w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+		if !httpx.Decode(w, r, 64<<20, &req) {
 			return
 		}
 		if len(req.Append) == 0 {
-			writeJSON(r.Context(), w, http.StatusBadRequest, errorResponse{Error: "empty append"})
+			httpx.WriteError(r.Context(), w, http.StatusBadRequest, "empty append")
 			return
 		}
 		if req.Weights != nil && len(req.Weights) != len(req.Append) {
-			writeJSON(r.Context(), w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf(
-				"weights length %d does not match append length %d", len(req.Weights), len(req.Append))})
+			httpx.WriteError(r.Context(), w, http.StatusBadRequest, fmt.Sprintf(
+				"weights length %d does not match append length %d", len(req.Weights), len(req.Append)))
 			return
 		}
 		// Copy-on-write via Extend: in-flight requests keep solving their
@@ -806,7 +727,7 @@ func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
 			q, err := dataset.ParseTuple(old.Schema, spec)
 			if err != nil {
 				s.mu.Unlock()
-				writeJSON(r.Context(), w, http.StatusBadRequest, errorResponse{Error: "bad query: " + err.Error()})
+				httpx.WriteError(r.Context(), w, http.StatusBadRequest, "bad query: "+err.Error())
 				return
 			}
 			weight := 1
@@ -815,17 +736,17 @@ func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
 			}
 			if err := next.AppendWeighted(q, weight); err != nil {
 				s.mu.Unlock()
-				writeJSON(r.Context(), w, http.StatusBadRequest, errorResponse{Error: "bad query: " + err.Error()})
+				httpx.WriteError(r.Context(), w, http.StatusBadRequest, "bad query: "+err.Error())
 				return
 			}
 		}
 		s.log = next
 		s.mu.Unlock()
 		s.met.logSwaps.Add(1)
-		writeJSON(r.Context(), w, http.StatusOK, logStats(next))
+		httpx.WriteJSON(r.Context(), w, http.StatusOK, logStats(next))
 	default:
 		w.Header().Set("Allow", "GET, POST")
-		writeJSON(r.Context(), w, http.StatusMethodNotAllowed, errorResponse{Error: "GET or POST only"})
+		httpx.WriteError(r.Context(), w, http.StatusMethodNotAllowed, "GET or POST only")
 	}
 }
 
@@ -834,14 +755,12 @@ func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
 // single-flight rebuild path re-indexes. Chaos tests use it to force
 // cache-rebuild races; operators use it after out-of-band log edits.
 func (s *Server) handleTouch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(r.Context(), w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only"})
+	if !httpx.Allow(w, r, http.MethodPost) {
 		return
 	}
 	log := s.CurrentLog()
 	log.Touch()
-	writeJSON(r.Context(), w, http.StatusOK, logStats(log))
+	httpx.WriteJSON(r.Context(), w, http.StatusOK, logStats(log))
 }
 
 func logStats(log *dataset.QueryLog) logResponse {
@@ -854,25 +773,20 @@ func logStats(log *dataset.QueryLog) logResponse {
 	}
 }
 
-// handleHealthz is liveness: the process is up and serving HTTP.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(r.Context(), w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
 // handleReadyz is readiness: the shared index matches the current log
 // generation and the admission queue has room. When the index is missing or
 // stale it kicks a background single-flight build and reports 503 so load
 // balancers drain to warmed replicas.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if err := s.baseCtx.Err(); err != nil {
-		writeJSON(r.Context(), w, http.StatusServiceUnavailable, map[string]string{"status": "shutting down"})
+		httpx.WriteJSON(r.Context(), w, http.StatusServiceUnavailable, map[string]string{"status": "shutting down"})
 		return
 	}
 	log := s.CurrentLog()
 	if p := s.prep.snapshot(); usable(p, log) {
-		writeJSON(r.Context(), w, http.StatusOK, map[string]any{"status": "ready", "queue_depth": s.adm.depth()})
+		httpx.WriteJSON(r.Context(), w, http.StatusOK, map[string]any{"status": "ready", "queue_depth": s.adm.Depth()})
 		return
 	}
 	go func() { _, _ = s.prep.get(s.baseCtx, log) }()
-	writeJSON(r.Context(), w, http.StatusServiceUnavailable, map[string]string{"status": "index not ready"})
+	httpx.WriteJSON(r.Context(), w, http.StatusServiceUnavailable, map[string]string{"status": "index not ready"})
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -14,6 +13,7 @@ import (
 	"standout/internal/dataset"
 	"standout/internal/estimate"
 	"standout/internal/fault"
+	"standout/internal/httpx"
 	"standout/internal/obsv"
 )
 
@@ -71,7 +71,8 @@ type Config struct {
 	Registry *obsv.Registry
 	// Injector attaches deterministic fault injection to every request.
 	Injector *fault.Injector
-	// Flight-recorder knobs, mirroring internal/serve.
+	// Flight-recorder knobs, mirroring internal/serve; requests at or above
+	// SlowThreshold are also logged at Warn through slog.Default.
 	FlightSize    int
 	SlowThreshold time.Duration
 	SampleEvery   int
@@ -159,12 +160,10 @@ func (s *shardState) updateGauge() {
 // Coordinator scatter-gathers solves across shard backends, merging additive
 // counts bit-identically to the unsharded solvers.
 type Coordinator struct {
-	cfg    Config
-	shards []*shardState
-	met    *metrics
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	cfg     Config
+	shards  []*shardState
+	met     *metrics
+	backoff *httpx.Backoff
 }
 
 // New validates cfg and builds a Coordinator.
@@ -177,9 +176,9 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, errors.New("shard: Config.Schema is required")
 	}
 	c := &Coordinator{
-		cfg: cfg,
-		met: newMetrics(cfg.Registry),
-		rng: rand.New(rand.NewSource(cfg.Seed)),
+		cfg:     cfg,
+		met:     newMetrics(cfg.Registry),
+		backoff: httpx.NewBackoff(cfg.RetryBackoff, cfg.Seed),
 	}
 	seen := map[string]bool{}
 	for _, be := range cfg.Backends {
@@ -235,13 +234,18 @@ func (c *Coordinator) Health() []ShardHealth {
 	return out
 }
 
-// Algorithms the coordinator can run distributed. The solvers that need full
-// query enumeration (mfi, ilp, consumequeries — the last is tie-broken by
-// log order, which partitioning destroys) are deliberately absent: shards
-// only ever answer additive counting calls.
-var coordinatorAlgos = map[string]bool{
-	"brute": true, "greedy": true, "consumeattr": true, "consumeattrcumul": true,
-	"estimate": true,
+// coordinatorAlgos maps each algo the coordinator can run distributed to
+// the core solver it runs over the shards' summed counts (core.SolveCounter);
+// "estimate" maps to nil, the coordinator's own two-round rung. The solvers
+// that need full query enumeration (mfi, ilp, consumequeries — the last is
+// tie-broken by log order, which partitioning destroys) are deliberately
+// absent: shards only ever answer additive counting calls.
+var coordinatorAlgos = map[string]core.Solver{
+	"brute":            core.BruteForce{},
+	"greedy":           core.ConsumeAttrCumul{},
+	"consumeattr":      core.ConsumeAttr{},
+	"consumeattrcumul": core.ConsumeAttrCumul{},
+	"estimate":         nil,
 }
 
 // AlgoNames lists the accepted algo values, sorted.
@@ -252,6 +256,18 @@ func AlgoNames() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// checkAlgo validates a request's algo against coordinatorAlgos and its
+// budget.
+func checkAlgo(algo string, m int) error {
+	if _, ok := coordinatorAlgos[algo]; !ok {
+		return fmt.Errorf("unknown algo %q (have %v)", algo, AlgoNames())
+	}
+	if m < 0 {
+		return fmt.Errorf("negative budget m=%d", m)
+	}
+	return nil
 }
 
 // Result is one coordinated solve.
@@ -291,14 +307,11 @@ func (c *Coordinator) Solve(ctx context.Context, tuple bitvec.Vector, m int, alg
 	if algo == "" {
 		algo = "greedy"
 	}
-	if !coordinatorAlgos[algo] {
-		return Result{}, fmt.Errorf("shard: unknown algo %q (have %v)", algo, AlgoNames())
+	if err := checkAlgo(algo, m); err != nil {
+		return Result{}, fmt.Errorf("shard: %w", err)
 	}
 	if tuple.Width() != c.cfg.Schema.Width() {
 		return Result{}, fmt.Errorf("shard: tuple width %d, schema width %d", tuple.Width(), c.cfg.Schema.Width())
-	}
-	if m < 0 {
-		return Result{}, fmt.Errorf("shard: negative budget m=%d", m)
 	}
 
 	// Plan over the shards whose circuit admits traffic right now: open
@@ -402,118 +415,45 @@ func subtract(live, lost []*shardState) []*shardState {
 }
 
 // solveOnce runs one epoch of the requested algorithm against a fixed shard
-// set. Any shard failing a scatter past its retry/hedge budget aborts the
-// epoch with *shardLoss. The control flow mirrors the core solvers exactly —
-// same candidate order, same tie-breaks — so summed counts reproduce their
-// answers bit for bit.
+// set: the core solver's own body over a counter that sums the set's
+// replies, so the answer is bit-identical to the unsharded solve. Any shard
+// failing a call past its retry/hedge budget aborts the epoch with
+// *shardLoss, which reaches Solve through core's error wrapping.
 func (c *Coordinator) solveOnce(ctx context.Context, tuple bitvec.Vector, m int, algo string, live []*shardState) (core.Solution, error) {
-	width := tuple.Width()
-	ones := tuple.Ones()
-	em := m
-	exact := false
-	if em >= len(ones) {
-		em = len(ones)
-		exact = true
+	f := fanout{c: c, live: live}
+	if s := coordinatorAlgos[algo]; s != nil {
+		return core.SolveCounter(ctx, s, f, tuple, m)
 	}
-	if exact {
-		// The whole tuple fits the budget: one subset count settles it
-		// (normalize's shortcut in core).
-		cnt, err := c.scatter(ctx, live, Subset, []bitvec.Vector{tuple})
-		if err != nil {
-			return core.Solution{}, err
-		}
-		return core.Solution{Kept: tuple.Clone(), Satisfied: cnt[0], Optimal: true}, nil
-	}
-
-	switch algo {
-	case "brute":
-		return c.bruteOnce(ctx, tuple, ones, em, live)
-	case "consumeattr":
-		return c.consumeAttrOnce(ctx, width, ones, em, live)
-	case "estimate":
-		return c.estimateOnce(ctx, width, ones, em, live)
-	default: // "greedy", "consumeattrcumul"
-		return c.cumulOnce(ctx, width, ones, em, live)
-	}
+	return c.estimateOnce(ctx, f, tuple, m)
 }
 
-// freqs fetches the weighted full-log frequency of each candidate attribute:
-// superset counts of the singleton vectors, summed across shards.
-func (c *Coordinator) freqs(ctx context.Context, width int, ones []int, live []*shardState) (map[int]int, error) {
-	sing := make([]bitvec.Vector, len(ones))
-	for i, j := range ones {
-		sing[i] = bitvec.FromIndices(width, j)
-	}
-	counts, err := c.scatter(ctx, live, Superset, sing)
-	if err != nil {
-		return nil, err
-	}
-	freq := make(map[int]int, len(ones))
-	for i, j := range ones {
-		freq[j] = counts[i]
-	}
-	return freq, nil
+// fanout is the coordinator's core.Counter for one solve epoch: each call
+// goes to every live shard and the replies are summed, exact because both
+// counts are additive over the partitioned queries (DESIGN.md §15).
+type fanout struct {
+	c    *Coordinator
+	live []*shardState
 }
 
-// cumulOnce mirrors core.ConsumeAttrCumul: first pick by frequency, then m-1
-// rounds adding the attribute whose full-log co-occurrence with everything
-// picked is highest, frequency breaking ties, candidates scanned in
-// ascending-attribute order.
-func (c *Coordinator) cumulOnce(ctx context.Context, width int, ones []int, em int, live []*shardState) (core.Solution, error) {
-	freq, err := c.freqs(ctx, width, ones, live)
-	if err != nil {
-		return core.Solution{}, err
-	}
-	remaining := append([]int(nil), ones...)
-	var picked []int
-	for len(picked) < em {
-		scores := make([]int, len(remaining))
-		if len(picked) == 0 {
-			for i, j := range remaining {
-				scores[i] = freq[j]
-			}
-		} else {
-			cands := make([]bitvec.Vector, len(remaining))
-			for i, j := range remaining {
-				cands[i] = bitvec.FromIndices(width, append(append([]int(nil), picked...), j)...)
-			}
-			scores, err = c.scatter(ctx, live, Superset, cands)
-			if err != nil {
-				return core.Solution{}, err
-			}
-		}
-		bestIdx, bestScore, bestFreq := -1, -1, -1
-		for i, j := range remaining {
-			if s := scores[i]; s > bestScore || (s == bestScore && freq[j] > bestFreq) {
-				bestIdx, bestScore, bestFreq = i, s, freq[j]
-			}
-		}
-		picked = append(picked, remaining[bestIdx])
-		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-	}
-	kept := bitvec.FromIndices(width, picked...)
-	cnt, err := c.scatter(ctx, live, Subset, []bitvec.Vector{kept})
-	if err != nil {
-		return core.Solution{}, err
-	}
-	return core.Solution{Kept: kept, Satisfied: cnt[0]}, nil
+// Satisfied implements core.Counter with one Subset scatter.
+func (f fanout) Satisfied(ctx context.Context, cands []bitvec.Vector) ([]int, error) {
+	return f.c.scatter(ctx, f.live, Subset, deepCopy(cands))
 }
 
-// consumeAttrOnce mirrors core.ConsumeAttr: the em individually most
-// frequent tuple attributes, ties to the lower index (stable sort).
-func (c *Coordinator) consumeAttrOnce(ctx context.Context, width int, ones []int, em int, live []*shardState) (core.Solution, error) {
-	freq, err := c.freqs(ctx, width, ones, live)
-	if err != nil {
-		return core.Solution{}, err
+// Containing implements core.Counter with one Superset scatter.
+func (f fanout) Containing(ctx context.Context, cands []bitvec.Vector) ([]int, error) {
+	return f.c.scatter(ctx, f.live, Superset, deepCopy(cands))
+}
+
+// deepCopy copies cands into storage of their own: the solver refills its
+// candidate vectors once a call returns, while an abandoned hedge or retry
+// of that call may still be encoding them.
+func deepCopy(cands []bitvec.Vector) []bitvec.Vector {
+	out := make([]bitvec.Vector, len(cands))
+	for i, v := range cands {
+		out[i] = v.Clone()
 	}
-	sorted := append([]int(nil), ones...)
-	sort.SliceStable(sorted, func(a, b int) bool { return freq[sorted[a]] > freq[sorted[b]] })
-	kept := bitvec.FromIndices(width, sorted[:em]...)
-	cnt, err := c.scatter(ctx, live, Subset, []bitvec.Vector{kept})
-	if err != nil {
-		return core.Solution{}, err
-	}
-	return core.Solution{Kept: kept, Satisfied: cnt[0]}, nil
+	return out
 }
 
 // estimateOnce is the coordinator's shed-of-last-resort rung (DESIGN.md
@@ -527,13 +467,23 @@ func (c *Coordinator) consumeAttrOnce(ctx context.Context, width int, ones []int
 // interval. The interval is generally looser than the unsharded estimator's
 // (no mining-completeness certificate, pairs only) but is sound against the
 // union of the live shards' partitions.
-func (c *Coordinator) estimateOnce(ctx context.Context, width int, ones []int, em int, live []*shardState) (core.Solution, error) {
+func (c *Coordinator) estimateOnce(ctx context.Context, f fanout, tuple bitvec.Vector, m int) (core.Solution, error) {
+	width, ones := tuple.Width(), tuple.Ones()
+	if m >= len(ones) {
+		// The whole tuple fits the budget: like every core solver, one
+		// subset count of it is the exact optimum.
+		counts, err := f.Satisfied(ctx, []bitvec.Vector{tuple})
+		if err != nil {
+			return core.Solution{}, err
+		}
+		return core.Solution{Kept: tuple.Clone(), Satisfied: counts[0], Optimal: true}, nil
+	}
 	cands := make([]bitvec.Vector, 0, width+1)
 	cands = append(cands, bitvec.New(width)) // ⊆ every query: total weight
 	for j := 0; j < width; j++ {
 		cands = append(cands, bitvec.FromIndices(width, j))
 	}
-	counts, err := c.scatter(ctx, live, Superset, cands)
+	counts, err := f.Containing(ctx, cands)
 	if err != nil {
 		return core.Solution{}, err
 	}
@@ -541,7 +491,7 @@ func (c *Coordinator) estimateOnce(ctx context.Context, width int, ones []int, e
 
 	sorted := append([]int(nil), ones...)
 	sort.SliceStable(sorted, func(a, b int) bool { return sing[sorted[a]] > sing[sorted[b]] })
-	kept := bitvec.FromIndices(width, sorted[:em]...)
+	kept := bitvec.FromIndices(width, sorted[:m]...)
 
 	// The heaviest dropped attributes get joint treatment: their pairwise
 	// supports are one more scatter of C(k,2) superset counts.
@@ -563,7 +513,7 @@ func (c *Coordinator) estimateOnce(ctx context.Context, width int, ones []int, e
 	}
 	var known []estimate.ItemsetSupport
 	if len(pairs) > 0 {
-		pcounts, err := c.scatter(ctx, live, Superset, pairs)
+		pcounts, err := f.Containing(ctx, pairs)
 		if err != nil {
 			return core.Solution{}, err
 		}
@@ -588,85 +538,6 @@ func (c *Coordinator) estimateOnce(ctx context.Context, width int, ones []int, e
 		EstLo:     iv.Lo,
 		EstHi:     iv.Hi,
 	}, nil
-}
-
-// bruteBatch bounds candidates per scatter round — large enough to amortize
-// the round trip, small enough to keep per-shard work slices preemptible.
-const bruteBatch = 256
-
-// bruteOnce mirrors core.BruteForce: lexicographic enumeration of the
-// em-combinations of the tuple's attributes, first maximum wins (strict
-// improvement), batched into scatter rounds of subset counts.
-func (c *Coordinator) bruteOnce(ctx context.Context, tuple bitvec.Vector, ones []int, em int, live []*shardState) (core.Solution, error) {
-	width := tuple.Width()
-	if em == 0 {
-		kept := bitvec.FromIndices(width)
-		cnt, err := c.scatter(ctx, live, Subset, []bitvec.Vector{kept})
-		if err != nil {
-			return core.Solution{}, err
-		}
-		sol := core.Solution{Kept: kept, Satisfied: cnt[0], Optimal: true}
-		sol.Stats.Candidates = 1
-		return sol, nil
-	}
-
-	best := core.Solution{}
-	first := true
-	candidates := 0
-	var batch []bitvec.Vector
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		counts, err := c.scatter(ctx, live, Subset, batch)
-		if err != nil {
-			return err
-		}
-		for i, sat := range counts {
-			candidates++
-			if first || sat > best.Satisfied {
-				best.Kept = batch[i]
-				best.Satisfied = sat
-				first = false
-			}
-		}
-		// A fresh batch, not batch[:0]: an abandoned hedge or retry of this
-		// round may still be reading the old one.
-		batch = nil
-		return nil
-	}
-
-	comb := make([]int, em)
-	attrs := make([]int, em)
-	var rec func(start, depth int) error
-	rec = func(start, depth int) error {
-		if depth == em {
-			for i, idx := range comb {
-				attrs[i] = ones[idx]
-			}
-			batch = append(batch, bitvec.FromIndices(width, attrs...))
-			if len(batch) >= bruteBatch {
-				return flush()
-			}
-			return nil
-		}
-		for i := start; i <= len(ones)-(em-depth); i++ {
-			comb[depth] = i
-			if err := rec(i+1, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := rec(0, 0); err != nil {
-		return core.Solution{}, err
-	}
-	if err := flush(); err != nil {
-		return core.Solution{}, err
-	}
-	best.Optimal = true
-	best.Stats.Candidates = candidates
-	return best, nil
 }
 
 // scatter fans one counting call across the live shards and sums the
@@ -737,7 +608,7 @@ func (c *Coordinator) callShard(ctx context.Context, s *shardState, mode Mode, c
 			if tr := obsv.FromContext(ctx); tr != nil {
 				tr.Count("shard.retries", 1)
 			}
-			if err := sleepCtx(ctx, c.backoffFor(attempt)); err != nil {
+			if err := c.backoff.Sleep(ctx, attempt); err != nil {
 				return nil, err
 			}
 			// Each retry is a fresh admission decision: the breaker may have
@@ -898,26 +769,4 @@ func (c *Coordinator) hedgeDelay(s *shardState) time.Duration {
 		d = c.cfg.ShardTimeout
 	}
 	return d
-}
-
-// backoffFor is base<<(attempt-1) plus up to 100% seeded jitter, mirroring
-// the serve layer's rebuild backoff.
-func (c *Coordinator) backoffFor(attempt int) time.Duration {
-	base := c.cfg.RetryBackoff << (attempt - 1)
-	c.rngMu.Lock()
-	j := time.Duration(c.rng.Int63n(int64(base) + 1))
-	c.rngMu.Unlock()
-	return base + j
-}
-
-// sleepCtx blocks for d or until ctx is done.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }

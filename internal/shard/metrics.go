@@ -26,6 +26,8 @@ type metrics struct {
 	trips       *obsv.Counter
 	fastFails   *obsv.Counter
 	latency     *obsv.Histogram
+	inflight    *obsv.Gauge
+	queueDepth  *obsv.Gauge
 }
 
 func newMetrics(r *obsv.Registry) *metrics {
@@ -60,6 +62,10 @@ func newMetrics(r *obsv.Registry) *metrics {
 			"Calls failed immediately because a shard's circuit was open."),
 		latency: r.Histogram("standout_shard_request_seconds",
 			"Wall time of one coordinated solve request.", nil),
+		inflight: r.Gauge("standout_shard_inflight",
+			"Requests currently holding an admission slot."),
+		queueDepth: r.Gauge("standout_shard_queue_depth",
+			"Requests currently waiting for an admission slot."),
 	}
 }
 

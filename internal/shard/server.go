@@ -2,16 +2,14 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
+	"log/slog"
 	"net/http"
-	"runtime/debug"
-	"sync/atomic"
 	"time"
 
 	"standout/internal/dataset"
 	"standout/internal/fault"
+	"standout/internal/httpx"
 	"standout/internal/obsv"
 )
 
@@ -27,7 +25,7 @@ type Server struct {
 	co     *Coordinator
 	mux    *http.ServeMux
 	flight *obsv.Flight
-	gate   *gate
+	gate   *httpx.Gate
 
 	baseCtx context.Context
 	stop    context.CancelFunc
@@ -49,13 +47,15 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		co:      co,
 		flight:  obsv.NewFlight(cfg.FlightSize, cfg.SlowThreshold, cfg.SampleEvery),
-		gate:    newGate(cfg.MaxConcurrent, cfg.MaxQueue),
+		gate:    httpx.NewGate(cfg.MaxConcurrent, cfg.MaxQueue, co.met.inflight, co.met.queueDepth),
 		baseCtx: baseCtx,
 		stop:    stop,
 	}
+	mw := &httpx.Middleware{Flight: s.flight, Slow: cfg.SlowThreshold, Logger: slog.Default(),
+		OnPanic: func() { co.met.failures.Add(1) }}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/solve", s.traced("/solve", s.recovered(s.handleSolve)))
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
+	s.mux.HandleFunc("/solve", mw.Route("/solve", s.handleSolve))
+	s.mux.HandleFunc("/healthz", httpx.Healthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.Handle("/metrics", obsv.Handler(cfg.Registry))
 	s.mux.Handle("/debug/requests", s.flight.Handler())
@@ -75,42 +75,6 @@ func (s *Server) Flight() *obsv.Flight { return s.flight }
 // Close stops background work.
 func (s *Server) Close() { s.stop() }
 
-// gate is the coordinator's bounded two-stage admission: MaxConcurrent
-// in-flight solves, MaxQueue waiters, everything beyond shed with 429
-// (mirroring internal/serve's admission, DESIGN.md §10).
-type gate struct {
-	slots    chan struct{}
-	waiting  atomic.Int64
-	maxQueue int64
-}
-
-var errShed = errors.New("shard: admission queue full, request shed")
-
-func newGate(concurrent, maxQueue int) *gate {
-	return &gate{slots: make(chan struct{}, concurrent), maxQueue: int64(maxQueue)}
-}
-
-func (g *gate) acquire(ctx context.Context) error {
-	select {
-	case g.slots <- struct{}{}:
-		return nil
-	default:
-	}
-	if n := g.waiting.Add(1); n > g.maxQueue {
-		g.waiting.Add(-1)
-		return errShed
-	}
-	defer g.waiting.Add(-1)
-	select {
-	case g.slots <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (g *gate) release() { <-g.slots }
-
 // Request/response bodies — the serve dialect plus the partial-result fields.
 
 type solveRequest struct {
@@ -121,7 +85,7 @@ type solveRequest struct {
 }
 
 type solveResponse struct {
-	TraceID   string   `json:"trace_id,omitempty"`
+	httpx.Stamp
 	Kept      []string `json:"kept"`
 	KeptBits  string   `json:"kept_bits"`
 	Satisfied int      `json:"satisfied"`
@@ -145,187 +109,28 @@ type solveResponse struct {
 	ElapsedMS float64  `json:"elapsed_ms"`
 }
 
-type errorResponse struct {
-	TraceID      string `json:"trace_id,omitempty"`
-	Error        string `json:"error"`
-	Panic        bool   `json:"panic,omitempty"`
-	RetryAfterMS int    `json:"retry_after_ms,omitempty"`
-}
-
-// reqInfo accumulates per-request facts for the flight record.
-type reqInfo struct {
-	algo     string
-	solver   string
-	degraded bool
-	partial  bool
-	shed     bool
-	panicked bool
-	errMsg   string
-}
-
-type infoKey struct{}
-
-func noteInfo(ctx context.Context) *reqInfo {
-	if i, ok := ctx.Value(infoKey{}).(*reqInfo); ok {
-		return i
-	}
-	return &reqInfo{}
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-// traced mirrors internal/serve's tracing middleware: honor or mint a W3C
-// trace context, thread it through the coordinator (whose outbound shard
-// calls propagate it further), and leave a flight record — with the Partial
-// flag, so /debug/requests surfaces degraded fan-outs.
-func (s *Server) traced(route string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		tid, _, err := obsv.ParseTraceparent(r.Header.Get("traceparent"))
-		if err != nil {
-			tid = obsv.NewTraceID()
-		}
-		span := obsv.NewSpanID()
-
-		tr := obsv.NewTrace()
-		tr.SetTraceID(tid)
-		info := &reqInfo{}
-		ctx := obsv.WithIDs(r.Context(), tid, span)
-		ctx = obsv.WithTrace(ctx, tr)
-		ctx = context.WithValue(ctx, infoKey{}, info)
-
-		w.Header().Set("X-Request-Id", tid.String())
-		w.Header().Set("traceparent", obsv.FormatTraceparent(tid, span))
-
-		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
-		h(sw, r.WithContext(ctx))
-		elapsed := time.Since(start)
-
-		if sw.status == 0 {
-			sw.status = http.StatusOK
-		}
-		summary := tr.Snapshot()
-		s.flight.Record(&obsv.Record{
-			TraceID:   tid.String(),
-			Route:     route,
-			Status:    sw.status,
-			Start:     start,
-			LatencyMS: float64(elapsed) / float64(time.Millisecond),
-			Algo:      info.algo,
-			Solver:    info.solver,
-			Degraded:  info.degraded,
-			Partial:   info.partial,
-			Shed:      info.shed || sw.status == http.StatusTooManyRequests,
-			Panic:     info.panicked,
-			Fault:     tr.Counter("fault.fired") > 0,
-			Slow:      s.cfg.SlowThreshold > 0 && elapsed >= s.cfg.SlowThreshold,
-			Error:     info.errMsg,
-			Trace:     &summary,
-		})
-	}
-}
-
-// recovered is the outermost panic boundary, as in internal/serve.
-func (s *Server) recovered(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				s.co.met.failures.Add(1)
-				info := noteInfo(r.Context())
-				info.panicked = true
-				info.errMsg = fmt.Sprintf("panic: %v", rec)
-				writeJSON(r.Context(), w, http.StatusInternalServerError, errorResponse{
-					Error: fmt.Sprintf("panic: %v", rec), Panic: true,
-				})
-				_ = debug.Stack()
-			}
-		}()
-		h(w, r)
-	}
-}
-
-func writeJSON(ctx context.Context, w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(stamp(ctx, v))
-}
-
-func stamp(ctx context.Context, v any) any {
-	if t, ok := v.(errorResponse); ok {
-		if info := noteInfo(ctx); info.errMsg == "" {
-			info.errMsg = t.Error
-		}
-	}
-	id := obsv.TraceIDStringFromContext(ctx)
-	if id == "" {
-		return v
-	}
-	switch t := v.(type) {
-	case errorResponse:
-		t.TraceID = id
-		return t
-	case solveResponse:
-		t.TraceID = id
-		return t
-	}
-	return v
-}
-
-func (s *Server) timeoutFor(ms int) time.Duration {
-	d := time.Duration(ms) * time.Millisecond
-	if d <= 0 {
-		d = s.cfg.DefaultTimeout
-	}
-	if d > s.cfg.MaxTimeout {
-		d = s.cfg.MaxTimeout
-	}
-	return d
-}
+// errorResponse is the body of every error response.
+type errorResponse = httpx.ErrorBody
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(r.Context(), w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only"})
+	if !httpx.Allow(w, r, http.MethodPost) {
 		return
 	}
 	s.co.met.requests.Add(1)
 	var req solveRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeJSON(r.Context(), w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+	if !httpx.Decode(w, r, 1<<20, &req) {
 		return
 	}
 	if req.Algo == "" {
 		req.Algo = "greedy"
 	}
-	if !coordinatorAlgos[req.Algo] {
-		writeJSON(r.Context(), w, http.StatusBadRequest, errorResponse{
-			Error: fmt.Sprintf("unknown algo %q (have %v)", req.Algo, AlgoNames())})
-		return
-	}
-	if req.M < 0 {
-		writeJSON(r.Context(), w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("negative budget m=%d", req.M)})
+	if err := checkAlgo(req.Algo, req.M); err != nil {
+		httpx.WriteError(r.Context(), w, http.StatusBadRequest, err.Error())
 		return
 	}
 	tuple, err := dataset.ParseTuple(s.cfg.Schema, req.Tuple)
 	if err != nil {
-		writeJSON(r.Context(), w, http.StatusBadRequest, errorResponse{Error: "bad tuple: " + err.Error()})
+		httpx.WriteError(r.Context(), w, http.StatusBadRequest, "bad tuple: "+err.Error())
 		return
 	}
 
@@ -333,49 +138,33 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Injector != nil {
 		ctx = fault.WithInjector(ctx, s.cfg.Injector)
 	}
-	if err := fault.Hit(ctx, "serve.admit"); err != nil {
-		s.co.met.failures.Add(1)
-		noteInfo(ctx).errMsg = err.Error()
-		writeJSON(ctx, w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
+	if err := s.gate.Admit(ctx); err != nil {
+		httpx.WriteAdmitError(ctx, w, err, s.co.met.shed, s.co.met.failures)
 		return
 	}
-	if err := s.gate.acquire(ctx); err != nil {
-		if errors.Is(err, errShed) {
-			s.co.met.shed.Add(1)
-			noteInfo(ctx).shed = true
-			w.Header().Set("Retry-After", "1")
-			writeJSON(ctx, w, http.StatusTooManyRequests, errorResponse{
-				Error: "overloaded: admission queue full", RetryAfterMS: 1000,
-			})
-		} else {
-			noteInfo(ctx).errMsg = err.Error()
-			writeJSON(ctx, w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-		}
-		return
-	}
-	defer s.gate.release()
+	defer s.gate.Release()
 
-	ctx, cancel := context.WithTimeout(ctx, s.timeoutFor(req.TimeoutMS))
+	ctx, cancel := context.WithTimeout(ctx, httpx.Timeout(req.TimeoutMS, s.cfg.DefaultTimeout, s.cfg.MaxTimeout))
 	defer cancel()
 
 	start := time.Now()
 	res, err := s.co.Solve(ctx, tuple, req.M, req.Algo)
 	elapsed := time.Since(start)
 	s.co.met.latency.ObserveExemplar(elapsed.Seconds(), obsv.TraceIDStringFromContext(ctx))
-	info := noteInfo(ctx)
-	info.algo = req.Algo
+	info := httpx.InfoFrom(ctx)
+	info.Algo = req.Algo
 	if err != nil {
 		s.writeSolveError(ctx, w, err)
 		return
 	}
-	info.solver, info.degraded, info.partial = res.Solver, res.Degraded, res.Partial
+	info.Solver, info.Degraded, info.Partial = res.Solver, res.Degraded, res.Partial
 	if res.Degraded {
 		s.co.met.degraded.Add(1)
 	}
 	if res.Partial {
 		s.co.met.partials.Add(1)
 	}
-	writeJSON(r.Context(), w, http.StatusOK, solveResponse{
+	httpx.WriteJSON(r.Context(), w, http.StatusOK, &solveResponse{
 		Kept:      res.Solution.AttrNames(s.cfg.Schema),
 		KeptBits:  res.Solution.Kept.String(),
 		Satisfied: res.Solution.Satisfied,
@@ -399,25 +188,20 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // 200s and never reach here; DESIGN.md §15), anything else 500 — always a
 // well-formed JSON body.
 func (s *Server) writeSolveError(ctx context.Context, w http.ResponseWriter, err error) {
-	info := noteInfo(ctx)
-	info.errMsg = err.Error()
+	httpx.InfoFrom(ctx).Err = err.Error()
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		s.co.met.timeouts.Add(1)
-		writeJSON(ctx, w, http.StatusGatewayTimeout, errorResponse{Error: "deadline exceeded before the scatter completed"})
+		httpx.WriteError(ctx, w, http.StatusGatewayTimeout, "deadline exceeded before the scatter completed")
 	case errors.Is(err, context.Canceled):
-		writeJSON(ctx, w, http.StatusServiceUnavailable, errorResponse{Error: "request canceled"})
+		httpx.WriteError(ctx, w, http.StatusServiceUnavailable, "request canceled")
 	case errors.Is(err, ErrNoShards):
 		s.co.met.failures.Add(1)
-		writeJSON(ctx, w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
+		httpx.WriteError(ctx, w, http.StatusServiceUnavailable, err.Error())
 	default:
 		s.co.met.failures.Add(1)
-		writeJSON(ctx, w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		httpx.WriteError(ctx, w, http.StatusInternalServerError, err.Error())
 	}
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(r.Context(), w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // readyzResponse is the coordinator's readiness report: per-shard circuit
@@ -432,7 +216,7 @@ type readyzResponse struct {
 // 503 only when every shard is open (nothing could be answered).
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if err := s.baseCtx.Err(); err != nil {
-		writeJSON(r.Context(), w, http.StatusServiceUnavailable, readyzResponse{Status: "shutting down"})
+		httpx.WriteJSON(r.Context(), w, http.StatusServiceUnavailable, readyzResponse{Status: "shutting down"})
 		return
 	}
 	health := s.co.Health()
@@ -443,12 +227,12 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if avail == 0 {
-		writeJSON(r.Context(), w, http.StatusServiceUnavailable, readyzResponse{Status: "no shards available", Shards: health})
+		httpx.WriteJSON(r.Context(), w, http.StatusServiceUnavailable, readyzResponse{Status: "no shards available", Shards: health})
 		return
 	}
 	status := "ready"
 	if avail < len(s.co.shards) {
 		status = "degraded"
 	}
-	writeJSON(r.Context(), w, http.StatusOK, readyzResponse{Status: status, Shards: health})
+	httpx.WriteJSON(r.Context(), w, http.StatusOK, readyzResponse{Status: status, Shards: health})
 }
