@@ -108,7 +108,7 @@ quick-experiments:
 fuzz:
 	go test -fuzz FuzzExactSolversAgree -fuzztime 60s ./internal/core
 
-# ~2 minute fuzz smoke for CI: a short budget on every fuzz target, seeded by
+# ~3 minute fuzz smoke for CI: a short budget on every fuzz target, seeded by
 # the committed corpora under testdata/fuzz/, so regressions the corpora
 # encode are caught on every run and a little fresh exploration happens too.
 fuzz-smoke:
@@ -122,7 +122,11 @@ fuzz-smoke:
 	go test -fuzz FuzzIndexedSolveAgrees -fuzztime 6s ./internal/core
 	go test -fuzz FuzzSolveCounterAdditive -fuzztime 8s ./internal/core
 	go test -fuzz FuzzEstimateSoundness -fuzztime 8s ./internal/estimate
+	go test -fuzz FuzzExtendMatchesBuild -fuzztime 8s ./internal/estimate
 	go test -fuzz FuzzReadTableCSV -fuzztime 4s ./internal/dataset
 	go test -fuzz FuzzParseTuple -fuzztime 4s ./internal/dataset
 	go test -fuzz FuzzScoreHandler -fuzztime 6s ./internal/httpx
+	go test -fuzz FuzzSolveHandler -fuzztime 6s ./internal/httpx
+	go test -fuzz FuzzSolveBatchHandler -fuzztime 6s ./internal/httpx
+	go test -fuzz FuzzLogHandler -fuzztime 6s ./internal/httpx
 	go test -fuzz FuzzCoordinatorSolve -fuzztime 6s ./internal/httpx

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"standout/internal/bitvec"
 	"standout/internal/cache"
@@ -70,11 +71,20 @@ type PreparedLog struct {
 	sols *cache.LRU[solutionKey, Solution]
 
 	// Lazily built itemset-frequency model for the Estimate solver
-	// (DESIGN.md §16). Guarded by estMu; built at most once per prep
-	// generation, shared by every solve through this prep.
+	// (DESIGN.md §16), built at most once per prep generation and shared by
+	// every solve through this prep. est is published atomically so probes
+	// never wait on a build; estMu makes the build single-flight and guards
+	// estErr and prev.
 	estMu  sync.Mutex
-	est    *estimate.Model
+	est    atomic.Pointer[estimate.Model]
 	estErr error
+	// prev is the generation a PrepareLogFrom delta extended: its model is
+	// the base this prep's model is derived from. Dropped once the model or
+	// a sticky error exists, so a warmed prep pins no older generation.
+	prev *PreparedLog
+	// estHook, when set by a test, runs at the start of a model build with
+	// estMu held.
+	estHook func()
 }
 
 // solutionKey identifies one memoizable solve: the log contents (by
@@ -123,19 +133,21 @@ func PrepareLogContextWith(ctx context.Context, log *dataset.QueryLog, opts inde
 	}
 	mIndexBuilds.Add(1)
 	tr.Count("index.queries", int64(seg.NumQueries()))
-	return newPrepared(log, seg, false), nil
+	return newPrepared(log, seg, nil), nil
 }
 
-// newPrepared wraps a built segmented index into the shared solve state.
-func newPrepared(log *dataset.QueryLog, seg *index.Segmented, delta bool) *PreparedLog {
+// newPrepared wraps a built segmented index into the shared solve state;
+// prev is the generation a delta build extended (nil for a full build).
+func newPrepared(log *dataset.QueryLog, seg *index.Segmented, prev *PreparedLog) *PreparedLog {
 	p := &PreparedLog{
 		log:     log,
 		seg:     seg,
 		fp:      seg.Fingerprint(),
 		version: seg.Version(),
 		nq:      seg.NumQueries(),
-		delta:   delta,
+		delta:   prev != nil,
 		sols:    cache.NewLRU[solutionKey, Solution](DefaultSolutionCacheSize),
+		prev:    prev,
 	}
 	p.sols.OnEvict = func(solutionKey, Solution) {
 		mPrepCacheEvictions.Add(1)
@@ -190,7 +202,7 @@ func PrepareLogFromContext(ctx context.Context, prev *PreparedLog, log *dataset.
 		// segments — exactness does not depend on the merge schedule.
 		mCompactionsSkipped.Add(1)
 		tr.Count("index.compaction.skipped", 1)
-		return newPrepared(log, seg, true), nil
+		return newPrepared(log, seg, prev), nil
 	}
 	sp = tr.StartSpan("index.compact")
 	merged, nmerged, err := seg.CompactTiered()
@@ -198,13 +210,13 @@ func PrepareLogFromContext(ctx context.Context, prev *PreparedLog, log *dataset.
 	if err != nil {
 		mCompactionsSkipped.Add(1)
 		tr.Count("index.compaction.skipped", 1)
-		return newPrepared(log, seg, true), nil
+		return newPrepared(log, seg, prev), nil
 	}
 	if nmerged > 0 {
 		mCompactions.Add(1)
 		tr.Count("index.compaction.segments", int64(nmerged))
 	}
-	return newPrepared(log, merged, true), nil
+	return newPrepared(log, merged, prev), nil
 }
 
 // Log returns the prepared query log.
@@ -238,40 +250,90 @@ func (p *PreparedLog) usableFor(log *dataset.QueryLog) bool {
 }
 
 // EstimatorModel returns the prep's shared itemset-frequency model for the
-// Estimate solver, building it on first use (single-flight under a mutex:
-// concurrent first callers fold into one build). The model summarizes the
-// exact log generation this prep indexed; staleness is the caller's business
-// — SolveContext's staleness check happens before any solver runs, so the
-// model a successful solve uses always matches the prep's snapshot. A
-// context-cancellation failure is not sticky (the next caller rebuilds); any
-// other build failure is recorded and returned to every later caller.
+// Estimate solver, building it on first use (single-flight: concurrent first
+// callers fold into one build). The model summarizes the exact log
+// generation this prep indexed; staleness is the caller's business —
+// SolveContext's staleness check happens before any solver runs, so the
+// model a successful solve uses always matches the prep's snapshot.
+//
+// A prep that PrepareLogFrom built as a delta derives its model from its
+// predecessor's (estimate.Model.Extend over the appended queries, with this
+// prep's index answering the supports the appended queries cannot), which
+// costs O(append) instead of a mining pass over the whole log and yields
+// exactly the model a full build would. The predecessor's model comes from
+// its own EstimatorModel, so a chain of unwarmed generations resolves oldest
+// first. Every other case — a full build, a stale prep, a predecessor model
+// that does not summarize exactly the queries this prep extended, a failed
+// derivation — builds from the log.
+//
+// A context-cancellation failure is not sticky (the next caller rebuilds);
+// any other build failure is recorded and returned to every later caller.
 func (p *PreparedLog) EstimatorModel(ctx context.Context) (*estimate.Model, error) {
+	if m := p.est.Load(); m != nil {
+		return m, nil
+	}
 	p.estMu.Lock()
 	defer p.estMu.Unlock()
-	if p.est != nil {
-		return p.est, nil
+	if m := p.est.Load(); m != nil {
+		return m, nil
 	}
 	if p.estErr != nil {
 		return nil, p.estErr
 	}
-	m, err := estimate.BuildContext(ctx, p.log, estimate.Options{})
+	if p.estHook != nil {
+		p.estHook()
+	}
+	m, err := p.deriveModel(ctx)
+	if err == nil && m == nil {
+		m, err = estimate.BuildContext(ctx, p.log, estimate.Options{})
+	}
 	if err != nil {
 		if ctx.Err() == nil {
-			p.estErr = err
+			p.estErr, p.prev = err, nil
 		}
 		return nil, err
 	}
-	p.est = m
+	p.est.Store(m)
+	p.prev = nil
 	return m, nil
+}
+
+// deriveModel extends the predecessor's model over the appended queries. It
+// returns (nil, nil) when the derivation does not apply or fails for a
+// reason other than ctx, and the caller builds from the log instead.
+func (p *PreparedLog) deriveModel(ctx context.Context) (*estimate.Model, error) {
+	prev := p.prev
+	if prev == nil {
+		return nil, nil
+	}
+	pm, err := prev.EstimatorModel(ctx)
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, err
+		}
+		return nil, nil
+	}
+	// pm must summarize exactly the prev.nq queries the window follows (a
+	// predecessor log appended to in place before its model was built fails
+	// that), and neither log may have changed since its prep: a Touch of
+	// prev's log may have reached pm, one of p's log would reach Build but
+	// not the derivation.
+	if pm.NumQueries() != prev.nq || prev.Stale() || p.Stale() {
+		return nil, nil
+	}
+	m, err := pm.Extend(ctx, p.log.Window(prev.nq, p.nq), p.containing)
+	if err != nil && ctx.Err() == nil {
+		return nil, nil
+	}
+	return m, err
 }
 
 // EstimatorModelReady returns the shared estimator model if one has already
 // been built for this prep, else nil — a non-building probe for ladder and
-// shed decisions that must not pay a mining pass.
+// shed decisions that must not pay a mining pass, nor wait for one in
+// flight.
 func (p *PreparedLog) EstimatorModelReady() *estimate.Model {
-	p.estMu.Lock()
-	defer p.estMu.Unlock()
-	return p.est
+	return p.est.Load()
 }
 
 // SetSolutionCache bounds the solution memo to capacity entries; ≤ 0

@@ -51,8 +51,9 @@ func TestBatchRecoversPerTuplePanic(t *testing.T) {
 		t.Fatal("PanicError captured no stack")
 	}
 	// The poisoned tuple is attributed exactly; siblings either completed
-	// with correct results or were skipped by the first-error cancellation —
-	// never poisoned, and the process never died.
+	// with correct results, were skipped by the first-error cancellation, or
+	// were in flight when it landed and record it (as SolveBatchContext
+	// documents) — never poisoned, and the process never died.
 	foundPoison := false
 	for i := range tuples {
 		if tuples[i].Equal(poison) {
@@ -63,7 +64,11 @@ func TestBatchRecoversPerTuplePanic(t *testing.T) {
 			continue
 		}
 		if errs[i] != nil {
-			t.Fatalf("tuple %d: unexpected error %v", i, errs[i])
+			var sibling *PanicError
+			if errors.As(errs[i], &sibling) || !errors.Is(errs[i], context.Canceled) {
+				t.Fatalf("tuple %d: unexpected error %v", i, errs[i])
+			}
+			continue
 		}
 		if out[i].Kept.Width() == 0 {
 			continue // skipped after cancellation: zero Solution is fine

@@ -75,28 +75,37 @@ func CountContaining(ctx context.Context, log *dataset.QueryLog, cands []bitvec.
 	if err := validateCands(log, cands); err != nil {
 		return nil, err
 	}
+	var counts []int
+	var err error
 	if p := preparedFromContext(ctx); p != nil && p.usableFor(log) {
-		seg := p.seg
-		counts := make([]int, len(cands))
-		scratch := make([]*index.Scratch, seg.Segments())
-		for si := range scratch {
-			scratch[si] = seg.Segment(si).NewScratch()
-		}
-		for ci, cand := range cands {
-			if ci&pollMask == 0 {
-				if err := pollCtx(ctx); err != nil {
-					return nil, fmt.Errorf("core: count containing: %w", err)
-				}
-			}
-			for si, sc := range scratch {
-				counts[ci] += seg.Segment(si).Containing(cand, sc)
-			}
-		}
-		return counts, nil
+		counts, err = p.containing(ctx, cands)
+	} else {
+		counts, err = containingScan(ctx, log, cands)
 	}
-	counts, err := containingScan(ctx, log, cands)
 	if err != nil {
 		return nil, fmt.Errorf("core: count containing: %w", err)
+	}
+	return counts, nil
+}
+
+// containing answers Containing from the prep's index: the AND of each
+// candidate's columns in every segment, summed over the segments.
+func (p *PreparedLog) containing(ctx context.Context, cands []bitvec.Vector) ([]int, error) {
+	seg := p.seg
+	counts := make([]int, len(cands))
+	scratch := make([]*index.Scratch, seg.Segments())
+	for si := range scratch {
+		scratch[si] = seg.Segment(si).NewScratch()
+	}
+	for ci, cand := range cands {
+		if ci&pollMask == 0 {
+			if err := pollCtx(ctx); err != nil {
+				return nil, err
+			}
+		}
+		for si, sc := range scratch {
+			counts[ci] += seg.Segment(si).Containing(cand, sc)
+		}
 	}
 	return counts, nil
 }

@@ -25,8 +25,11 @@ package estimate
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"standout/internal/bitvec"
@@ -110,10 +113,11 @@ type ItemsetSupport struct {
 type Model struct {
 	width    int
 	total    int
-	maxSize  int // largest itemset size with complete knowledge
-	minSup   int // mining threshold; 0 = no completeness certificate
+	nq       int     // queries summarized; 0 for NewModel
+	opts     Options // the caller's options before defaults (Extend re-derives MinSupport)
+	maxSize  int     // largest itemset size with complete knowledge
+	minSup   int     // mining threshold; 0 = no completeness certificate
 	maxAtoms int
-	lpOpts   lp.Options
 
 	sing []int          // exact weighted frequency per attribute
 	supp map[string]int // bitvec.Key → support, itemsets of size ≥ 2
@@ -133,15 +137,14 @@ func (m *Model) initPairs() {
 	}
 }
 
-// addItemset stores one itemset support (size ≥ 2), mirroring pairs into the
-// dense matrix.
-func (m *Model) addItemset(items bitvec.Vector, sup int) {
-	m.supp[items.Key()] = sup
-	if m.pair != nil {
-		if ones := items.Ones(); len(ones) == 2 {
-			m.pair[ones[0]*m.width+ones[1]] = sup
-			m.pair[ones[1]*m.width+ones[0]] = sup
-		}
+// addItemset stores one itemset support (size ≥ 2) under key, items.Key(),
+// mirroring pairs into the dense matrix.
+func (m *Model) addItemset(key string, items bitvec.Vector, sup int) {
+	m.supp[key] = sup
+	if m.pair != nil && items.Count() == 2 {
+		ones := items.Ones()
+		m.pair[ones[0]*m.width+ones[1]] = sup
+		m.pair[ones[1]*m.width+ones[0]] = sup
 	}
 }
 
@@ -173,6 +176,7 @@ func BuildContext(ctx context.Context, log *dataset.QueryLog, opts Options) (*Mo
 		return nil, fmt.Errorf("estimate: build: %w", err)
 	}
 	total := log.TotalWeight()
+	raw := opts
 	opts = opts.withDefaults(total)
 
 	tr := obsv.FromContext(ctx)
@@ -183,10 +187,11 @@ func BuildContext(ctx context.Context, log *dataset.QueryLog, opts Options) (*Mo
 	m := &Model{
 		width:    log.Width(),
 		total:    total,
+		nq:       log.Size(),
+		opts:     raw,
 		maxSize:  opts.MaxItemset,
 		minSup:   opts.MinSupport,
 		maxAtoms: opts.MaxAtomAttrs,
-		lpOpts:   opts.LP,
 		sing:     make([]int, log.Width()),
 		supp:     map[string]int{},
 	}
@@ -199,12 +204,131 @@ func BuildContext(ctx context.Context, log *dataset.QueryLog, opts Options) (*Mo
 	m.initPairs()
 	for _, ic := range miner.AprioriCapped(opts.MinSupport, opts.MaxItemset) {
 		if ic.Items.Count() >= 2 {
-			m.addItemset(ic.Items, ic.Support)
+			m.addItemset(ic.Items.Key(), ic.Items, ic.Support)
 		}
 	}
 	tr.Count("estimate.builds", 1)
 	tr.Count("estimate.itemsets", int64(len(m.supp)))
 	return m, nil
+}
+
+// Extend derives the model Build would return on the log m summarizes
+// followed by delta's queries, without re-mining the old queries. It is
+// FUP-style incremental maintenance (Cheung et al., ICDE 1996) resting on
+// m's mining certificate: every itemset m does not store had support at
+// most minSup−1, so under the new threshold minSup' it can only qualify with
+// a delta support of at least minSup'−minSup+1. Extend therefore
+//
+//   - adds delta's weights to the totals and singletons;
+//   - adds each stored itemset's delta support and keeps it only if the sum
+//     reaches minSup';
+//   - mines delta alone (itemsets.Miner.AprioriCapped, which yields every
+//     delta support the two steps need in one pass) for the absent itemsets
+//     that clear that margin, skips those with a singleton below minSup',
+//     and asks support for the rest in one call.
+//
+// support must return each candidate's exact weighted support on the
+// extended log: the weight of its queries containing every candidate
+// attribute. The result is reflect.DeepEqual to Build on the extended log
+// under m's options. Extend refuses a model without a certificate
+// (NewModel), a delta of another width, and an invalid delta.
+func (m *Model) Extend(ctx context.Context, delta *dataset.QueryLog, support func(context.Context, []bitvec.Vector) ([]int, error)) (*Model, error) {
+	if m.minSup <= 0 {
+		return nil, errors.New("estimate: extend: model carries no mining certificate")
+	}
+	if err := delta.Validate(); err != nil {
+		return nil, fmt.Errorf("estimate: extend: %w", err)
+	}
+	if delta.Width() != m.width {
+		return nil, fmt.Errorf("estimate: extend: delta width %d, model width %d", delta.Width(), m.width)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("estimate: extend: %w", err)
+	}
+	tr := obsv.FromContext(ctx)
+	sp := tr.StartSpan("estimate.extend")
+	defer sp.End()
+
+	total := m.total + delta.TotalWeight()
+	out := &Model{
+		width:    m.width,
+		total:    total,
+		nq:       m.nq + delta.Size(),
+		opts:     m.opts,
+		maxSize:  m.maxSize,
+		minSup:   m.opts.withDefaults(total).MinSupport,
+		maxAtoms: m.maxAtoms,
+		sing:     slices.Clone(m.sing),
+		supp:     maps.Clone(m.supp),
+		pair:     slices.Clone(m.pair),
+	}
+	for j, f := range delta.AttrFrequencies() {
+		out.sing[j] += f
+	}
+
+	// Apriori at threshold 1 reports every itemset delta touches with its
+	// exact delta support; a stored itemset it does not report gained 0.
+	need := out.minSup - m.minSup + 1
+	var cands []bitvec.Vector
+	miner := itemsets.NewMinerWeighted(delta.AsTable(), delta.Weights)
+	for _, ic := range miner.AprioriCapped(1, m.maxSize) {
+		if ic.Items.Count() < 2 {
+			continue
+		}
+		key := ic.Items.Key()
+		if s, ok := m.supp[key]; ok {
+			out.addItemset(key, ic.Items, s+ic.Support)
+		} else if ic.Support >= need && out.singletonsReach(ic.Items, out.minSup) {
+			cands = append(cands, ic.Items)
+		}
+	}
+	if out.minSup > m.minSup {
+		out.dropBelow(out.minSup)
+	}
+	if len(cands) > 0 {
+		sups, err := support(ctx, cands)
+		if err != nil {
+			return nil, fmt.Errorf("estimate: extend: %w", err)
+		}
+		if len(sups) != len(cands) {
+			return nil, fmt.Errorf("estimate: extend: %d supports for %d candidates", len(sups), len(cands))
+		}
+		for i, c := range cands {
+			if sups[i] >= out.minSup {
+				out.addItemset(c.Key(), c, sups[i])
+			}
+		}
+	}
+	tr.Count("estimate.extends", 1)
+	tr.Count("estimate.extend.probes", int64(len(cands)))
+	tr.Count("estimate.itemsets", int64(len(out.supp)))
+	return out, nil
+}
+
+// singletonsReach reports whether every attribute of items has frequency at
+// least minSup — a necessary condition for items to be frequent.
+func (m *Model) singletonsReach(items bitvec.Vector, minSup int) bool {
+	ok := true
+	items.Range(func(j int) bool {
+		ok = m.sing[j] >= minSup
+		return ok
+	})
+	return ok
+}
+
+// dropBelow removes the stored itemsets under minSup from the map and its
+// pair mirror, which hold the same supports.
+func (m *Model) dropBelow(minSup int) {
+	for k, s := range m.supp {
+		if s < minSup {
+			delete(m.supp, k)
+		}
+	}
+	for i, s := range m.pair {
+		if s >= 0 && s < minSup {
+			m.pair[i] = -1
+		}
+	}
 }
 
 // NewModel builds a Model from externally gathered exact supports: sing must
@@ -221,14 +345,13 @@ func NewModel(width, total int, sing []int, known []ItemsetSupport, opts Options
 	if len(sing) != width {
 		return nil, fmt.Errorf("estimate: %d singleton supports for width %d", len(sing), width)
 	}
-	opts = opts.withDefaults(total)
 	m := &Model{
 		width:    width,
 		total:    total,
+		opts:     opts,
 		maxSize:  1,
 		minSup:   0, // no completeness certificate
-		maxAtoms: opts.MaxAtomAttrs,
-		lpOpts:   opts.LP,
+		maxAtoms: opts.withDefaults(total).MaxAtomAttrs,
 		sing:     append([]int(nil), sing...),
 		supp:     map[string]int{},
 	}
@@ -249,7 +372,7 @@ func NewModel(width, total int, sing []int, known []ItemsetSupport, opts Options
 		if is.Support < 0 || is.Support > total {
 			return nil, fmt.Errorf("estimate: itemset support %d outside [0, %d]", is.Support, total)
 		}
-		m.addItemset(is.Items, is.Support)
+		m.addItemset(is.Items.Key(), is.Items, is.Support)
 		if size > m.maxSize {
 			m.maxSize = size
 		}
@@ -262,6 +385,10 @@ func (m *Model) Width() int { return m.width }
 
 // TotalWeight returns the log's total query weight at build time.
 func (m *Model) TotalWeight() int { return m.total }
+
+// NumQueries returns the number of log queries the model summarizes (0 for
+// a NewModel).
+func (m *Model) NumQueries() int { return m.nq }
 
 // Itemsets returns the number of stored itemsets of size ≥ 2.
 func (m *Model) Itemsets() int { return len(m.supp) }
@@ -486,11 +613,11 @@ func (m *Model) atomBounds(ctx context.Context, s []int) (lo, hi int, ok bool, e
 		return p
 	}
 
-	maxRes, err := build(lp.Maximize).SolveContext(ctx, m.lpOpts)
+	maxRes, err := build(lp.Maximize).SolveContext(ctx, m.opts.LP)
 	if err != nil {
 		return 0, 0, false, fmt.Errorf("estimate: %w", err)
 	}
-	minRes, err := build(lp.Minimize).SolveContext(ctx, m.lpOpts)
+	minRes, err := build(lp.Minimize).SolveContext(ctx, m.opts.LP)
 	if err != nil {
 		return 0, 0, false, fmt.Errorf("estimate: %w", err)
 	}

@@ -1,9 +1,10 @@
 package httpx_test
 
-// Fuzz targets for the two handler stacks built on this package: serve's
-// POST /score and the shard coordinator's POST /solve, each driven through
-// its server's full Handler() — tracing middleware, panic boundary, method
-// check, body decode, admission — with an arbitrary method and body.
+// Fuzz targets for the handler stacks built on this package: serve's
+// /score, /solve, /solve/batch and /log, and the shard coordinator's
+// POST /solve, each driven through its server's full Handler() — tracing
+// middleware, panic boundary, method check, body decode, admission — with an
+// arbitrary method and body.
 
 import (
 	"bytes"
@@ -13,6 +14,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"standout/internal/bitvec"
@@ -106,5 +108,126 @@ func FuzzCoordinatorSolve(f *testing.F) {
 	h := srv.Handler()
 	f.Fuzz(func(t *testing.T, method string, body []byte) {
 		checkResponse(t, h, method, "/solve", body)
+	})
+}
+
+// FuzzSolveHandler drives serve's POST /solve.
+func FuzzSolveHandler(f *testing.F) {
+	srv, err := serve.New(serve.Config{Log: fuzzLog(), Registry: obsv.NewRegistry()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(srv.Close)
+	h := srv.Handler()
+	f.Fuzz(func(t *testing.T, method string, body []byte) {
+		checkResponse(t, h, method, "/solve", body)
+	})
+}
+
+// FuzzSolveBatchHandler drives serve's POST /solve/batch.
+func FuzzSolveBatchHandler(f *testing.F) {
+	srv, err := serve.New(serve.Config{Log: fuzzLog(), Registry: obsv.NewRegistry()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(srv.Close)
+	h := srv.Handler()
+	f.Fuzz(func(t *testing.T, method string, body []byte) {
+		checkResponse(t, h, method, "/solve/batch", body)
+	})
+}
+
+// logStats is the body of GET and POST /log.
+type logStats struct {
+	Queries     int    `json:"queries"`
+	TotalWeight int    `json:"total_weight"`
+	Version     uint64 `json:"version"`
+	Fingerprint string `json:"fingerprint"`
+}
+
+func getLog(t *testing.T, h http.Handler) logStats {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/log", nil))
+	var st logStats
+	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &st) != nil {
+		t.Fatalf("GET /log: status %d, body %s", rec.Code, rec.Body)
+	}
+	return st
+}
+
+// FuzzLogHandler drives serve's /log on a fresh server per input. An
+// accepted append must grow the log by exactly the queries and weight sent;
+// a refused one must leave it as it was. After an accepted append, an
+// estimate solve — whose model the new generation derives from the
+// previous one — must certify an interval containing the exact count.
+func FuzzLogHandler(f *testing.F) {
+	f.Fuzz(func(t *testing.T, method string, body []byte) {
+		srv, err := serve.New(serve.Config{Log: fuzzLog(), Registry: obsv.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		h := srv.Handler()
+		// Solve once first so the starting generation has a warm prep for
+		// the append's generation to extend.
+		checkResponse(t, h, http.MethodPost, "/solve", []byte(`{"tuple":"11111111","m":3,"algo":"estimate"}`))
+		before := getLog(t, h)
+
+		req := httptest.NewRequest(http.MethodPost, "/log", bytes.NewReader(body))
+		req.Method = method
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		after := getLog(t, h)
+		if rec.Code >= 400 || method != http.MethodPost {
+			if after != before {
+				t.Fatalf("%s /log %q: status %d changed the log from %+v to %+v", method, body, rec.Code, before, after)
+			}
+			return
+		}
+		if rec.Code != http.StatusOK {
+			t.Fatalf("POST /log %q: status %d", body, rec.Code)
+		}
+		var sent struct {
+			Append  []string `json:"append"`
+			Weights []int    `json:"weights"`
+		}
+		if err := json.Unmarshal(body, &sent); err != nil {
+			t.Fatalf("POST /log %q accepted, but the body does not decode: %v", body, err)
+		}
+		weight := len(sent.Append)
+		if sent.Weights != nil {
+			weight = 0
+			for _, w := range sent.Weights {
+				weight += w
+			}
+		}
+		if after.Queries != before.Queries+len(sent.Append) || after.TotalWeight != before.TotalWeight+weight {
+			t.Fatalf("POST /log %q: log went from %+v to %+v, sent %d queries of weight %d",
+				body, before, after, len(sent.Append), weight)
+		}
+
+		m := len(body) % 9
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/solve",
+			strings.NewReader(fmt.Sprintf(`{"tuple":"11111111","m":%d,"algo":"estimate"}`, m))))
+		var sol struct {
+			KeptBits string `json:"kept_bits"`
+			Estimate *struct {
+				Lo int `json:"lo"`
+				Hi int `json:"hi"`
+			} `json:"estimate"`
+		}
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &sol) != nil || sol.Estimate == nil {
+			t.Fatalf("estimate solve after append: status %d, body %s", rec.Code, rec.Body)
+		}
+		log := srv.CurrentLog()
+		kept, err := dataset.ParseTuple(log.Schema, sol.KeptBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exact := log.Satisfied(kept); exact < sol.Estimate.Lo || exact > sol.Estimate.Hi {
+			t.Fatalf("after POST /log %q: interval [%d,%d] misses exact %d", body, sol.Estimate.Lo, sol.Estimate.Hi, exact)
+		}
 	})
 }

@@ -43,11 +43,16 @@ func (m *Miner) AprioriCapped(minSup, maxLevel int) []ItemsetCount {
 		emit(e)
 	}
 
+	// Scratch reused by every candidate: most candidates are rejected, so
+	// only a frequent one gets its own copy.
+	var cand []int
+	var key []byte
 	for k := 2; len(level) > 0 && (maxLevel == 0 || k <= maxLevel); k++ {
 		// Index of frequent (k−1)-itemsets for subset pruning.
 		freqPrev := make(map[string]bool, len(level))
 		for _, e := range level {
-			freqPrev[itemsKey(e.items)] = true
+			key = appendItemsKey(key[:0], e.items, -1)
+			freqPrev[string(key)] = true
 		}
 
 		var next []entry
@@ -59,13 +64,12 @@ func (m *Miner) AprioriCapped(minSup, maxLevel int) []ItemsetCount {
 				if !samePrefix(a, b) {
 					break
 				}
-				cand := append(append([]int(nil), a...), b[len(b)-1])
-				if !allSubsetsFrequent(cand, freqPrev) {
+				cand = append(append(cand[:0], a...), b[len(b)-1])
+				if !allSubsetsFrequent(cand, freqPrev, &key) {
 					continue
 				}
-				sup := m.Support(bitvec.FromIndices(m.width, cand...))
-				if sup >= minSup {
-					next = append(next, entry{items: cand, support: sup})
+				if sup := m.supportOf(cand); sup >= minSup {
+					next = append(next, entry{items: append([]int(nil), cand...), support: sup})
 				}
 			}
 		}
@@ -91,28 +95,24 @@ func samePrefix(a, b []int) bool {
 // allSubsetsFrequent applies the Apriori pruning rule: every (k−1)-subset of
 // cand must be frequent. Subsets formed by dropping the last two positions
 // are covered by the join itself, so only the rest need checking — checking
-// all is simpler and still linear in k.
-func allSubsetsFrequent(cand []int, freqPrev map[string]bool) bool {
-	buf := make([]int, 0, len(cand)-1)
-	for drop := 0; drop < len(cand); drop++ {
-		buf = buf[:0]
-		for i, it := range cand {
-			if i != drop {
-				buf = append(buf, it)
-			}
-		}
-		if !freqPrev[itemsKey(buf)] {
+// all is simpler and still linear in k. key is scratch for the subset keys.
+func allSubsetsFrequent(cand []int, freqPrev map[string]bool, key *[]byte) bool {
+	for drop := range cand {
+		*key = appendItemsKey((*key)[:0], cand, drop)
+		if !freqPrev[string(*key)] {
 			return false
 		}
 	}
 	return true
 }
 
-// itemsKey encodes a sorted item slice as a map key.
-func itemsKey(items []int) string {
-	buf := make([]byte, 0, 2*len(items))
-	for _, it := range items {
-		buf = append(buf, byte(it), byte(it>>8))
+// appendItemsKey appends the map key of a sorted item slice, leaving out
+// position skip (-1 keeps every item), to buf.
+func appendItemsKey(buf []byte, items []int, skip int) []byte {
+	for i, it := range items {
+		if i != skip {
+			buf = append(buf, byte(it), byte(it>>8))
+		}
 	}
-	return string(buf)
+	return buf
 }

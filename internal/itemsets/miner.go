@@ -124,7 +124,11 @@ func (m *Miner) Support(items bitvec.Vector) int {
 	if items.Width() != m.width {
 		panic(fmt.Sprintf("itemsets: itemset width %d, miner width %d", items.Width(), m.width))
 	}
-	ones := items.Ones()
+	return m.supportOf(items.Ones())
+}
+
+// supportOf is Support over the item indices ones.
+func (m *Miner) supportOf(ones []int) int {
 	if len(ones) == 0 {
 		return m.totalWeight
 	}
