@@ -111,22 +111,34 @@ fuzz:
 # ~3 minute fuzz smoke for CI: a short budget on every fuzz target, seeded by
 # the committed corpora under testdata/fuzz/, so regressions the corpora
 # encode are caught on every run and a little fresh exploration happens too.
+# Each entry is target:package:seconds. Every target runs even after one
+# fails; the recipe then names each failed target and exits non-zero. -run
+# keeps each step to its own target, so a crasher one target writes under
+# testdata/ does not fail the steps after it.
+FUZZ_SMOKE := \
+	FuzzVectorAlgebra:internal/bitvec:6 \
+	FuzzCompressedAlgebra:internal/bitvec:8 \
+	FuzzSatisfiedDropping:internal/index:8 \
+	FuzzSegmentMerge:internal/index:8 \
+	FuzzContainingAgrees:internal/index:8 \
+	FuzzCompactEquivalence:internal/compact:6 \
+	FuzzExactSolversAgree:internal/core:14 \
+	FuzzIndexedSolveAgrees:internal/core:6 \
+	FuzzSolveCounterAdditive:internal/core:8 \
+	FuzzEstimateSoundness:internal/estimate:8 \
+	FuzzExtendMatchesBuild:internal/estimate:8 \
+	FuzzReadTableCSV:internal/dataset:4 \
+	FuzzParseTuple:internal/dataset:4 \
+	FuzzScoreHandler:internal/httpx:6 \
+	FuzzSolveHandler:internal/httpx:6 \
+	FuzzSolveBatchHandler:internal/httpx:6 \
+	FuzzLogHandler:internal/httpx:6 \
+	FuzzCoordinatorSolve:internal/httpx:6
+
 fuzz-smoke:
-	go test -fuzz FuzzVectorAlgebra -fuzztime 6s ./internal/bitvec
-	go test -fuzz FuzzCompressedAlgebra -fuzztime 8s ./internal/bitvec
-	go test -fuzz FuzzSatisfiedDropping -fuzztime 8s ./internal/index
-	go test -fuzz FuzzSegmentMerge -fuzztime 8s ./internal/index
-	go test -fuzz FuzzContainingAgrees -fuzztime 8s ./internal/index
-	go test -fuzz FuzzCompactEquivalence -fuzztime 6s ./internal/compact
-	go test -fuzz FuzzExactSolversAgree -fuzztime 14s ./internal/core
-	go test -fuzz FuzzIndexedSolveAgrees -fuzztime 6s ./internal/core
-	go test -fuzz FuzzSolveCounterAdditive -fuzztime 8s ./internal/core
-	go test -fuzz FuzzEstimateSoundness -fuzztime 8s ./internal/estimate
-	go test -fuzz FuzzExtendMatchesBuild -fuzztime 8s ./internal/estimate
-	go test -fuzz FuzzReadTableCSV -fuzztime 4s ./internal/dataset
-	go test -fuzz FuzzParseTuple -fuzztime 4s ./internal/dataset
-	go test -fuzz FuzzScoreHandler -fuzztime 6s ./internal/httpx
-	go test -fuzz FuzzSolveHandler -fuzztime 6s ./internal/httpx
-	go test -fuzz FuzzSolveBatchHandler -fuzztime 6s ./internal/httpx
-	go test -fuzz FuzzLogHandler -fuzztime 6s ./internal/httpx
-	go test -fuzz FuzzCoordinatorSolve -fuzztime 6s ./internal/httpx
+	@failed=""; for spec in $(FUZZ_SMOKE); do \
+		target=$${spec%%:*}; rest=$${spec#*:}; pkg=$${rest%%:*}; secs=$${rest#*:}; \
+		echo "go test -run ^$$target\$$ -fuzz ^$$target\$$ -fuzztime $${secs}s ./$$pkg"; \
+		go test -run "^$$target\$$" -fuzz "^$$target\$$" -fuzztime $${secs}s ./$$pkg || failed="$$failed $$target"; \
+	done; \
+	if [ -n "$$failed" ]; then echo "fuzz-smoke: failed:$$failed"; exit 1; fi

@@ -28,8 +28,15 @@
 //	POST /solve/batch  {"tuples": [...], "m": 3}
 //	GET  /log          workload stats; POST appends queries copy-on-write
 //	POST /log/touch    force index staleness (chaos lever)
+//	POST /score        {"mode": "subset"|"superset", "candidates": [...]}:
+//	                   additive weighted counts over this node's log
+//	GET  /schema       the serving schema's attribute names and width
 //	GET  /healthz /readyz /metrics
 //	GET  /debug/requests[/TRACE_ID]  flight recorder: recent requests as JSON
+//
+// Every serve node, a -shard-of partition included, serves all of these. A
+// -shards coordinator serves POST /solve, /healthz, /readyz, /metrics and
+// /debug/requests, and calls its shards' GET /schema and POST /score.
 //
 // Every solve/batch/log request gets a W3C trace context (inbound
 // `traceparent` honored, else minted) echoed in `X-Request-Id`/`traceparent`
@@ -44,7 +51,8 @@
 //	-max-concurrent   solve slots (default GOMAXPROCS)
 //	-max-queue        bounded wait queue; beyond it requests shed with 429
 //	-greedy-budget    deadline budget below which the ladder serves the
-//	                  certified-estimate rung instead of greedy (default 1ms)
+//	                  certified-estimate rung instead of greedy (default 1ms;
+//	                  25ms for the -shards coordinator)
 //	-shed-estimate    answer shed solves 200 {"estimated":true, "estimate":
 //	                  {"lo","hi"}} instead of 429 (DESIGN.md §16)
 //	-default-timeout  per-request deadline when the request names none
@@ -118,7 +126,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	noHedge := fs.Bool("no-hedge", false, "coordinator: disable hedged shard requests")
 	breakerFailures := fs.Int("breaker-failures", 0, "coordinator: consecutive failures opening a shard circuit (0 = 5)")
 	breakerCooloff := fs.Duration("breaker-cooloff", 0, "coordinator: open-circuit cooloff before the half-open probe (0 = 2s)")
-	greedyBudget := fs.Duration("greedy-budget", 0, "deadline budget below which the ladder degrades to the certified estimate rung (0 = 1ms)")
+	greedyBudget := fs.Duration("greedy-budget", 0, "deadline budget below which the ladder degrades to the certified estimate rung (0 = 1ms; 25ms with -shards)")
 	shedEstimate := fs.Bool("shed-estimate", false, "answer admission-shed solves 200 with a certified estimate instead of 429 (DESIGN.md §16)")
 	var obs obsv.Flags
 	obs.Register(fs)

@@ -113,13 +113,13 @@ func BitmapSweepContext(ctx context.Context, cfg Config) Result {
 			}
 			// Warm-up pass, then the timed rounds.
 			for i := range tuples {
-				ix.SatisfiedDroppingBits(cands[i], drops[i], scratch)
+				ix.SatisfiedDropping(cands[i], drops[i], scratch)
 			}
 			start := time.Now()
 			ops := 0
 			for r := 0; r < rounds && ctx.Err() == nil; r++ {
 				for i := range tuples {
-					ix.SatisfiedDroppingBits(cands[i], drops[i], scratch)
+					ix.SatisfiedDropping(cands[i], drops[i], scratch)
 					ops++
 				}
 			}

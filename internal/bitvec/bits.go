@@ -69,11 +69,12 @@ var (
 	_ Bits = (*Compressed)(nil)
 )
 
-// bitsWidthCheck panics when two Bits have different widths, matching the
-// concrete Vector algebra's behavior.
-func bitsWidthCheck(a, b Bits) {
-	if a.Width() != b.Width() {
-		panic(widthMismatch(a.Width(), b.Width()))
+// bitsWidthCheck panics when two operand widths differ, matching the
+// concrete Vector algebra's behavior. It compares ints, not Bits: boxing a
+// Vector receiver into the interface would allocate on every call.
+func bitsWidthCheck(a, b int) {
+	if a != b {
+		panic(widthMismatch(a, b))
 	}
 }
 
@@ -102,7 +103,7 @@ func (v Vector) SubsetOfBits(u Bits) bool {
 	case Vector:
 		return v.SubsetOf(u)
 	case *Compressed:
-		bitsWidthCheck(v, u)
+		bitsWidthCheck(v.width, u.Width())
 		ok := true
 		wi := 0
 		u.denseWords(func(w uint64) bool {
@@ -115,7 +116,7 @@ func (v Vector) SubsetOfBits(u Bits) bool {
 		})
 		return ok
 	default:
-		bitsWidthCheck(v, u)
+		bitsWidthCheck(v.width, u.Width())
 		ok := true
 		v.Range(func(i int) bool {
 			ok = u.Get(i)
@@ -141,7 +142,7 @@ func (v Vector) AndNotBits(u Bits) Bits {
 
 // AndWith implements Bits: v ∩= u, returning the resulting Count.
 func (v Vector) AndWith(u Bits) int {
-	bitsWidthCheck(v, u)
+	bitsWidthCheck(v.width, u.Width())
 	n := 0
 	switch u := u.(type) {
 	case Vector:
@@ -175,7 +176,7 @@ func (v Vector) AndWith(u Bits) int {
 // The dense×compressed case touches only u's members — O(|u|) instead of
 // O(width/64) — which is what makes peeling a sparse column cheap.
 func (v Vector) AndNotWith(u Bits) int {
-	bitsWidthCheck(v, u)
+	bitsWidthCheck(v.width, u.Width())
 	switch u := u.(type) {
 	case Vector:
 		removed := 0
@@ -203,7 +204,7 @@ func (v Vector) AndNotWith(u Bits) int {
 
 // AndCount implements Bits.
 func (v Vector) AndCount(u Bits) int {
-	bitsWidthCheck(v, u)
+	bitsWidthCheck(v.width, u.Width())
 	switch u := u.(type) {
 	case Vector:
 		return v.CountAnd(u)

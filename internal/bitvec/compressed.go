@@ -304,7 +304,7 @@ func (c *Compressed) denseWords(yield func(w uint64) bool) {
 
 // SubsetOfBits implements Bits.
 func (c *Compressed) SubsetOfBits(u Bits) bool {
-	bitsWidthCheck(c, u)
+	bitsWidthCheck(c.width, u.Width())
 	switch u := u.(type) {
 	case Vector:
 		for ci := range c.cs {
@@ -348,7 +348,7 @@ func (c *Compressed) AndNotBits(u Bits) Bits {
 // AndWith implements Bits: c ∩= u, returning the resulting Count. Only c's
 // own containers are visited.
 func (c *Compressed) AndWith(u Bits) int {
-	bitsWidthCheck(c, u)
+	bitsWidthCheck(c.width, u.Width())
 	switch u := u.(type) {
 	case Vector:
 		for ci := range c.cs {
@@ -377,7 +377,7 @@ func (c *Compressed) AndWith(u Bits) int {
 // already shrunk to a few members costs a few membership tests no matter how
 // big the operand column is.
 func (c *Compressed) AndNotWith(u Bits) int {
-	bitsWidthCheck(c, u)
+	bitsWidthCheck(c.width, u.Width())
 	before := c.Count()
 	switch u := u.(type) {
 	case Vector:
@@ -402,7 +402,7 @@ func (c *Compressed) AndNotWith(u Bits) int {
 
 // AndCount implements Bits.
 func (c *Compressed) AndCount(u Bits) int {
-	bitsWidthCheck(c, u)
+	bitsWidthCheck(c.width, u.Width())
 	n := 0
 	switch u := u.(type) {
 	case Vector:

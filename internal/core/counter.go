@@ -114,7 +114,7 @@ func vectors(width, n int) []bitvec.Vector {
 
 // Satisfied implements Counter for compressions of the instance tuple: per
 // index segment, the tuple's candidate bitmap minus the columns of the tuple
-// attributes a compression drops (index.SatisfiedDroppingBits), or a scan of
+// attributes a compression drops (index.SatisfiedDropping), or a scan of
 // the restricted log without an index. Both methods poll ctx after every
 // pollMask+1 candidates, so a call shorter than that runs to completion like
 // the single-pass scoring it replaces.

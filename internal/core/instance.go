@@ -260,7 +260,7 @@ func (n normalized) score(kept bitvec.Vector) int {
 		total := 0
 		for i := range n.segs {
 			s := &n.segs[i]
-			total += s.idx.SatisfiedDroppingBits(s.cand, drop, s.scratch)
+			total += s.idx.SatisfiedDropping(s.cand, drop, s.scratch)
 		}
 		return total
 	}

@@ -29,8 +29,8 @@ var ErrStalePrep = errors.New("core: prepared log modified since PrepareLog")
 const DefaultSolutionCacheSize = 1024
 
 // PreparedLog is the shared, concurrency-safe per-log solve state of the
-// batch path: the inverted attribute→query bitmap index (package index), the
-// log's content fingerprint, and a size-bounded LRU memoizing solutions for
+// batch path: the inverted attribute→query bitmap index (package index) with
+// the log snapshot it covers, and a size-bounded LRU memoizing solutions for
 // repeated (solver, tuple, m) triples. Build one with PrepareLog, then
 // either attach it to a context with WithPrepared (every solver picks the
 // index up transparently) or solve through SolveContext to also get
@@ -61,12 +61,10 @@ const DefaultSolutionCacheSize = 1024
 // that keeps the segment count logarithmic. Solutions are bit-identical
 // across any segment layout; the differential suite pins that.
 type PreparedLog struct {
-	log     *dataset.QueryLog
-	seg     *index.Segmented
-	fp      uint64
-	version uint64
-	nq      int
-	delta   bool // built incrementally by PrepareLogFrom
+	// seg is the index and the snapshot (log, version, size, fingerprint)
+	// it covers.
+	seg   *index.Segmented
+	delta bool // built incrementally by PrepareLogFrom
 
 	sols *cache.LRU[solutionKey, Solution]
 
@@ -133,21 +131,17 @@ func PrepareLogContextWith(ctx context.Context, log *dataset.QueryLog, opts inde
 	}
 	mIndexBuilds.Add(1)
 	tr.Count("index.queries", int64(seg.NumQueries()))
-	return newPrepared(log, seg, nil), nil
+	return newPrepared(seg, nil), nil
 }
 
 // newPrepared wraps a built segmented index into the shared solve state;
 // prev is the generation a delta build extended (nil for a full build).
-func newPrepared(log *dataset.QueryLog, seg *index.Segmented, prev *PreparedLog) *PreparedLog {
+func newPrepared(seg *index.Segmented, prev *PreparedLog) *PreparedLog {
 	p := &PreparedLog{
-		log:     log,
-		seg:     seg,
-		fp:      seg.Fingerprint(),
-		version: seg.Version(),
-		nq:      seg.NumQueries(),
-		delta:   prev != nil,
-		sols:    cache.NewLRU[solutionKey, Solution](DefaultSolutionCacheSize),
-		prev:    prev,
+		seg:   seg,
+		delta: prev != nil,
+		sols:  cache.NewLRU[solutionKey, Solution](DefaultSolutionCacheSize),
+		prev:  prev,
 	}
 	p.sols.OnEvict = func(solutionKey, Solution) {
 		mPrepCacheEvictions.Add(1)
@@ -177,7 +171,7 @@ func PrepareLogFrom(prev *PreparedLog, log *dataset.QueryLog) (*PreparedLog, err
 // compaction only re-tiers segments — so serving continues on the
 // pre-compaction layout and the skip is counted in the process metrics.
 func PrepareLogFromContext(ctx context.Context, prev *PreparedLog, log *dataset.QueryLog) (*PreparedLog, error) {
-	if prev == nil || !log.ExtendsFrom(prev.log, prev.version, prev.nq) {
+	if prev == nil || !log.ExtendsFrom(prev.seg.Log(), prev.seg.Version(), prev.seg.NumQueries()) {
 		var opts index.Options
 		if prev != nil {
 			opts.Mode = prev.seg.Mode()
@@ -195,14 +189,14 @@ func PrepareLogFromContext(ctx context.Context, prev *PreparedLog, log *dataset.
 		return nil, err
 	}
 	mDeltaBuilds.Add(1)
-	tr.Count("index.delta.queries", int64(seg.NumQueries()-prev.nq))
+	tr.Count("index.delta.queries", int64(seg.NumQueries()-prev.seg.NumQueries()))
 
 	if ferr := fault.Hit(ctx, "core.prep.compact"); ferr != nil {
 		// Injected (or simulated) compaction failure: serve from the unmerged
 		// segments — exactness does not depend on the merge schedule.
 		mCompactionsSkipped.Add(1)
 		tr.Count("index.compaction.skipped", 1)
-		return newPrepared(log, seg, prev), nil
+		return newPrepared(seg, prev), nil
 	}
 	sp = tr.StartSpan("index.compact")
 	merged, nmerged, err := seg.CompactTiered()
@@ -210,20 +204,20 @@ func PrepareLogFromContext(ctx context.Context, prev *PreparedLog, log *dataset.
 	if err != nil {
 		mCompactionsSkipped.Add(1)
 		tr.Count("index.compaction.skipped", 1)
-		return newPrepared(log, seg, prev), nil
+		return newPrepared(seg, prev), nil
 	}
 	if nmerged > 0 {
 		mCompactions.Add(1)
 		tr.Count("index.compaction.segments", int64(nmerged))
 	}
-	return newPrepared(log, merged, prev), nil
+	return newPrepared(merged, prev), nil
 }
 
 // Log returns the prepared query log.
-func (p *PreparedLog) Log() *dataset.QueryLog { return p.log }
+func (p *PreparedLog) Log() *dataset.QueryLog { return p.seg.Log() }
 
 // Fingerprint returns the log's content hash at PrepareLog time.
-func (p *PreparedLog) Fingerprint() uint64 { return p.fp }
+func (p *PreparedLog) Fingerprint() uint64 { return p.seg.Fingerprint() }
 
 // TotalWeight returns the log's total query weight at PrepareLog time.
 func (p *PreparedLog) TotalWeight() int { return p.seg.TotalWeight() }
@@ -239,14 +233,12 @@ func (p *PreparedLog) Delta() bool { return p.delta }
 // Stale reports whether the log has visibly changed since PrepareLog (its
 // version counter moved or its length differs). A stale PreparedLog must be
 // rebuilt; SolveContext refuses to use one.
-func (p *PreparedLog) Stale() bool {
-	return p.log.Version() != p.version || p.log.Size() != p.nq
-}
+func (p *PreparedLog) Stale() bool { return p.seg.Stale() }
 
 // usableFor reports whether the prepared state may serve instances over log:
 // same log object, not stale.
 func (p *PreparedLog) usableFor(log *dataset.QueryLog) bool {
-	return p != nil && p.log == log && !p.Stale()
+	return p != nil && p.seg.Log() == log && !p.Stale()
 }
 
 // EstimatorModel returns the prep's shared itemset-frequency model for the
@@ -285,7 +277,7 @@ func (p *PreparedLog) EstimatorModel(ctx context.Context) (*estimate.Model, erro
 	}
 	m, err := p.deriveModel(ctx)
 	if err == nil && m == nil {
-		m, err = estimate.BuildContext(ctx, p.log, estimate.Options{})
+		m, err = estimate.BuildContext(ctx, p.seg.Log(), estimate.Options{})
 	}
 	if err != nil {
 		if ctx.Err() == nil {
@@ -313,15 +305,16 @@ func (p *PreparedLog) deriveModel(ctx context.Context) (*estimate.Model, error) 
 		}
 		return nil, nil
 	}
-	// pm must summarize exactly the prev.nq queries the window follows (a
-	// predecessor log appended to in place before its model was built fails
-	// that), and neither log may have changed since its prep: a Touch of
-	// prev's log may have reached pm, one of p's log would reach Build but
-	// not the derivation.
-	if pm.NumQueries() != prev.nq || prev.Stale() || p.Stale() {
+	// pm must summarize exactly the queries prev indexed, which the window
+	// follows (a predecessor log appended to in place before its model was
+	// built fails that), and neither log may have changed since its prep: a
+	// Touch of prev's log may have reached pm, one of p's log would reach
+	// Build but not the derivation.
+	from := prev.seg.NumQueries()
+	if pm.NumQueries() != from || prev.Stale() || p.Stale() {
 		return nil, nil
 	}
-	m, err := pm.Extend(ctx, p.log.Window(prev.nq, p.nq), p.containing)
+	m, err := pm.Extend(ctx, p.seg.Log().Window(from, p.seg.NumQueries()), p.containing)
 	if err != nil && ctx.Err() == nil {
 		return nil, nil
 	}
@@ -358,9 +351,10 @@ func (p *PreparedLog) Solve(s Solver, tuple bitvec.Vector, m int) (Solution, err
 // memoized (their configuration cannot be keyed), only accelerated.
 func (p *PreparedLog) SolveContext(ctx context.Context, s Solver, tuple bitvec.Vector, m int) (Solution, error) {
 	if p.Stale() {
+		log := p.seg.Log()
 		return Solution{}, fmt.Errorf(
 			"%w (version %d → %d, size %d → %d); re-prepare",
-			ErrStalePrep, p.version, p.log.Version(), p.nq, p.log.Size())
+			ErrStalePrep, p.seg.Version(), log.Version(), p.seg.NumQueries(), log.Size())
 	}
 	// Chaos hook: an injected fault here simulates the log aging out between
 	// the staleness check and the solve, the race a serving layer must absorb.
@@ -373,7 +367,7 @@ func (p *PreparedLog) SolveContext(ctx context.Context, s Solver, tuple bitvec.V
 	id, cacheable := solverCacheID(s)
 	var key solutionKey
 	if cacheable {
-		key = solutionKey{fp: p.fp, solver: id, m: m, tuple: tuple.Key()}
+		key = solutionKey{fp: p.seg.Fingerprint(), solver: id, m: m, tuple: tuple.Key()}
 		if sol, ok := p.sols.Get(key); ok {
 			mPrepCacheHits.Add(1)
 			tr.Count("prep.cache.hit", 1)
@@ -385,7 +379,7 @@ func (p *PreparedLog) SolveContext(ctx context.Context, s Solver, tuple bitvec.V
 		tr.Count("prep.cache.miss", 1)
 	}
 
-	sol, err := s.SolveContext(ctx, Instance{Log: p.log, Tuple: tuple, M: m})
+	sol, err := s.SolveContext(ctx, Instance{Log: p.seg.Log(), Tuple: tuple, M: m})
 	if err == nil && cacheable {
 		p.sols.Put(key, sol)
 	}

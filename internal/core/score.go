@@ -28,32 +28,14 @@ func CountSatisfied(ctx context.Context, log *dataset.QueryLog, cands []bitvec.V
 	if err := validateCands(log, cands); err != nil {
 		return nil, err
 	}
-	counts := make([]int, len(cands))
 	if p := preparedFromContext(ctx); p != nil && p.usableFor(log) {
-		seg := p.seg
-		for ci, cand := range cands {
-			if ci&pollMask == 0 {
-				if err := pollCtx(ctx); err != nil {
-					return nil, fmt.Errorf("core: count satisfied: %w", err)
-				}
-			}
-			total := 0
-			for si := 0; si < seg.Segments(); si++ {
-				ix, off := seg.Segment(si), seg.Offset(si)
-				cs := ix.CandidateSet(cand)
-				if log.Weights == nil {
-					total += cs.Count()
-				} else {
-					cs.Range(func(qi int) bool {
-						total += log.Weights[off+qi]
-						return true
-					})
-				}
-			}
-			counts[ci] = total
+		counts, err := p.sum(ctx, cands, (*index.Index).Satisfied)
+		if err != nil {
+			return nil, fmt.Errorf("core: count satisfied: %w", err)
 		}
 		return counts, nil
 	}
+	counts := make([]int, len(cands))
 	for ci, cand := range cands {
 		if ci&pollMask == 0 {
 			if err := pollCtx(ctx); err != nil {
@@ -88,9 +70,16 @@ func CountContaining(ctx context.Context, log *dataset.QueryLog, cands []bitvec.
 	return counts, nil
 }
 
-// containing answers Containing from the prep's index: the AND of each
-// candidate's columns in every segment, summed over the segments.
+// containing answers CountContaining, and the estimator derivation's
+// support calls, from the prep's index.
 func (p *PreparedLog) containing(ctx context.Context, cands []bitvec.Vector) ([]int, error) {
+	return p.sum(ctx, cands, (*index.Index).Containing)
+}
+
+// sum returns, for each candidate, the per-segment kernel summed over the
+// prep's segments — exact because each query lives in exactly one segment.
+// Each segment gets one scratch for the whole call.
+func (p *PreparedLog) sum(ctx context.Context, cands []bitvec.Vector, kernel func(*index.Index, bitvec.Vector, *index.Scratch) int) ([]int, error) {
 	seg := p.seg
 	counts := make([]int, len(cands))
 	scratch := make([]*index.Scratch, seg.Segments())
@@ -104,7 +93,7 @@ func (p *PreparedLog) containing(ctx context.Context, cands []bitvec.Vector) ([]
 			}
 		}
 		for si, sc := range scratch {
-			counts[ci] += seg.Segment(si).Containing(cand, sc)
+			counts[ci] += kernel(seg.Segment(si), cand, sc)
 		}
 	}
 	return counts, nil

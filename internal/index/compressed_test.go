@@ -2,7 +2,6 @@ package index
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"standout/internal/bitvec"
@@ -31,13 +30,10 @@ func TestAutoModePicksPerColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.Mode() != Auto {
-		t.Fatalf("Mode = %d, want Auto", ix.Mode())
-	}
 	freq := ix.AttrFrequencies()
 	hot, cold := 0, 0
 	for a := 0; a < width; a++ {
-		comp := ix.ColumnCompressed(a)
+		comp := ix.cols[a].comp != nil
 		wantComp := freq[a]*autoDensityDiv <= nq
 		if comp != wantComp {
 			t.Fatalf("column %d (freq %d of %d): compressed=%t, heuristic wants %t",
@@ -60,7 +56,7 @@ func TestAutoModePicksPerColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	for a := 0; a < width; a++ {
-		if sx.ColumnCompressed(a) {
+		if sx.cols[a].comp != nil {
 			t.Fatalf("column %d compressed on a %d-query log, below the %d floor",
 				a, autoMinQueries-1, autoMinQueries)
 		}
@@ -113,10 +109,10 @@ func TestModesAgree(t *testing.T) {
 			}
 			ixs[m] = ix
 		}
-		if !ixs[2].ColumnCompressed(0) {
+		if ixs[2].cols[0].comp == nil {
 			t.Fatal("ForceCompressed left column 0 dense")
 		}
-		if ixs[1].ColumnCompressed(0) {
+		if ixs[1].cols[0].comp != nil {
 			t.Fatal("ForceDense compressed column 0")
 		}
 
@@ -135,44 +131,31 @@ func TestModesAgree(t *testing.T) {
 			}
 			drop := tuple.AndNot(kept).Ones()
 
-			ref := ixs[0].Candidates(tuple)
+			ref := ixs[0].CandidateSet(tuple)
 			refDrop := ixs[0].SatisfiedDropping(ref, drop, nil)
 			for m := 1; m < 3; m++ {
 				ix := ixs[m]
-				cand := ix.Candidates(tuple)
-				if ref.Count() != cand.Count() {
-					t.Fatalf("mode %d: Candidates %d, Auto %d", m, cand.Count(), ref.Count())
+				cs := ix.CandidateSet(tuple)
+				if cs.Key() != ref.Key() {
+					t.Fatalf("mode %d: CandidateSet %v, Auto %v", m, cs.Ones(), ref.Ones())
 				}
-				for i := range ref {
-					if ref[i] != cand[i] {
-						t.Fatalf("mode %d: candidate words diverge", m)
-					}
-				}
-				if got := ix.SatisfiedDropping(cand, drop, nil); got != refDrop {
+				if got := ix.SatisfiedDropping(cs, drop, nil); got != refDrop {
 					t.Fatalf("mode %d: SatisfiedDropping %d, Auto %d", m, got, refDrop)
 				}
-				cs := ix.CandidateSet(tuple)
-				if got := ix.SatisfiedDroppingBits(cs, drop, nil); got != refDrop {
-					t.Fatalf("mode %d: SatisfiedDroppingBits %d, Auto %d", m, got, refDrop)
+				if got := ix.Satisfied(kept, ix.NewScratch()); got != refDrop {
+					t.Fatalf("mode %d: Satisfied %d, Auto SatisfiedDropping %d", m, got, refDrop)
 				}
-				if got := ix.SatisfiedWithinBits(cs, kept, ix.NewScratch()); got != refDrop {
-					t.Fatalf("mode %d: SatisfiedWithinBits %d, Auto %d", m, got, refDrop)
-				}
-				if got, want := ix.Satisfied(kept), log.Satisfied(kept); got != want {
+				if got, want := ix.Satisfied(kept, nil), log.Satisfied(kept); got != want {
 					t.Fatalf("mode %d: Satisfied %d, log %d", m, got, want)
 				}
-				for k := 0; k <= ix.MaxQuerySize(); k++ {
-					if got, want := ix.SizeAtMost(k).Count(), ixs[0].SizeAtMost(k).Count(); got != want {
-						t.Fatalf("mode %d: SizeAtMost(%d) %d, Auto %d", m, k, got, want)
+				for k := 0; k <= ix.maxSize; k++ {
+					if got, want := ix.buckets[k].set.Count(), ixs[0].buckets[k].set.Count(); got != want {
+						t.Fatalf("mode %d: bucket %d holds %d, Auto %d", m, k, got, want)
 					}
 				}
 				for a := 0; a < width; a++ {
-					want := ixs[0].QueriesWith(a).Count()
-					if got := ix.QueriesWith(a).Count(); got != want {
-						t.Fatalf("mode %d: QueriesWith(%d) %d, Auto %d", m, a, got, want)
-					}
-					if got := ix.Column(a).Count(); got != want {
-						t.Fatalf("mode %d: Column(%d) count %d, Auto %d", m, a, got, want)
+					if got, want := ix.cols[a].set.Key(), ixs[0].cols[a].set.Key(); got != want {
+						t.Fatalf("mode %d: column %d %v, Auto %v", m, a, ix.cols[a].set.Ones(), ixs[0].cols[a].set.Ones())
 					}
 				}
 			}
@@ -180,28 +163,41 @@ func TestModesAgree(t *testing.T) {
 	}
 }
 
-// TestScratchReuseNoAlloc pins the hot-loop allocation contract: scoring
-// through a warm Scratch allocates nothing, in both representations.
+// TestScratchReuseNoAlloc pins the hot-loop allocation contract: the
+// counting kernels allocate nothing with a warm Scratch, in every mode. Auto
+// mixes the layouts on this log — hot columns dense, cold ones compressed —
+// so a dense working set is peeled by compressed columns too.
 func TestScratchReuseNoAlloc(t *testing.T) {
 	log := sparseLog(200, 2048, 13)
-	for _, mode := range []Mode{ForceDense, ForceCompressed} {
+	for _, mode := range []Mode{Auto, ForceDense, ForceCompressed} {
 		ix, err := BuildWith(log, Options{Mode: mode})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if mode == Auto && (ix.allDense || ix.cols[1].comp != nil || ix.cols[17].comp == nil) {
+			t.Fatal("Auto did not mix dense hot columns with compressed cold ones")
 		}
 		tuple := bitvec.New(200)
 		for a := 0; a < 40; a++ {
 			tuple.Set(a)
 		}
+		kept := tuple.Clone()
+		drop := []int{1, 3, 17, 18, 19}
+		for _, a := range drop {
+			kept.Clear(a)
+		}
+		pair := bitvec.FromIndices(200, 0, 17)
 		cand := ix.CandidateSet(tuple)
-		drop := []int{1, 3, 17}
 		sc := ix.NewScratch()
-		ix.SatisfiedDroppingBits(cand, drop, sc) // warm the scratch
-		allocs := testing.AllocsPerRun(50, func() {
-			ix.SatisfiedDroppingBits(cand, drop, sc)
-		})
-		if allocs != 0 {
-			t.Fatalf("mode %d: warm SatisfiedDroppingBits allocates %.1f/op, want 0", mode, allocs)
+		for name, kernel := range map[string]func() int{
+			"SatisfiedDropping": func() int { return ix.SatisfiedDropping(cand, drop, sc) },
+			"Satisfied":         func() int { return ix.Satisfied(kept, sc) },
+			"Containing":        func() int { return ix.Containing(pair, sc) },
+		} {
+			kernel() // warm the scratch
+			if allocs := testing.AllocsPerRun(50, func() { kernel() }); allocs != 0 {
+				t.Fatalf("mode %d: warm %s allocates %.1f/op, want 0", mode, name, allocs)
+			}
 		}
 	}
 }
@@ -246,7 +242,7 @@ func TestContainingMixedLayoutsNoAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if mode == Auto && (ix.ColumnCompressed(0) || !ix.ColumnCompressed(7)) {
+			if mode == Auto && (ix.cols[0].comp != nil || ix.cols[7].comp == nil) {
 				t.Fatal("Auto did not mix dense hot columns with compressed cold ones")
 			}
 			sc := ix.NewScratch()
@@ -272,50 +268,6 @@ func TestContainingMixedLayoutsNoAlloc(t *testing.T) {
 	}
 }
 
-func TestBitmapGetBounds(t *testing.T) {
-	b := Bitmap{0b101}
-	if !b.Get(0) || b.Get(1) || !b.Get(2) || b.Get(63) {
-		t.Fatal("Get misreads in-range bits")
-	}
-	for _, i := range []int{-1, 64, 1000} {
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("Get(%d) did not panic", i)
-				}
-				if msg, ok := r.(string); !ok || !strings.Contains(msg, "out of range") {
-					t.Fatalf("Get(%d) panic %v lacks a descriptive message", i, r)
-				}
-			}()
-			b.Get(i)
-		}()
-	}
-}
-
-func TestColumnAccessorsPanicOutOfRange(t *testing.T) {
-	log := sparseLog(10, 8, 1)
-	ix, err := Build(log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []func(){
-		func() { ix.QueriesWith(10) },
-		func() { ix.QueriesWith(-1) },
-		func() { ix.Column(10) },
-		func() { ix.ColumnCompressed(-1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("no panic on out-of-range attribute")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 // TestCompressedSharedReadOnly proves the scoring paths never mutate the
 // index's own column/bucket storage or the caller's candidate set.
 func TestCompressedSharedReadOnly(t *testing.T) {
@@ -330,14 +282,14 @@ func TestCompressedSharedReadOnly(t *testing.T) {
 	}
 	cs := ix.CandidateSet(tuple)
 	before := cs.Key()
-	bucketBefore := ix.SizeAtMost(ix.MaxQuerySize()).Count()
+	bucketBefore := ix.buckets[ix.maxSize].set.Count()
 	sc := ix.NewScratch()
-	ix.SatisfiedDroppingBits(cs, []int{0, 1, 2}, sc)
-	ix.SatisfiedWithinBits(cs, bitvec.New(50), sc)
+	ix.SatisfiedDropping(cs, []int{0, 1, 2}, sc)
+	ix.Satisfied(tuple, sc)
 	if cs.Key() != before {
 		t.Fatal("scoring mutated the candidate set")
 	}
-	if ix.SizeAtMost(ix.MaxQuerySize()).Count() != bucketBefore {
+	if ix.buckets[ix.maxSize].set.Count() != bucketBefore {
 		t.Fatal("scoring mutated a size bucket")
 	}
 	for a := 0; a < 50; a++ {
@@ -347,7 +299,7 @@ func TestCompressedSharedReadOnly(t *testing.T) {
 				want++
 			}
 		}
-		if got := ix.Column(a).Count(); got != want {
+		if got := ix.cols[a].set.Count(); got != want {
 			t.Fatalf("column %d count %d after scoring, want %d", a, got, want)
 		}
 	}

@@ -2,26 +2,29 @@ package index
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"standout/internal/bitvec"
 	"standout/internal/dataset"
 )
 
-// FuzzSatisfiedDropping pits the word-parallel scoring fast path against a
-// naive per-query rescorer on fuzzer-shaped logs. The fast path computes
-// satisfied counts by AND-NOT peeling over the inverted index; the naive
-// oracle walks the raw queries. Any divergence is a soundness bug in the
-// index — the whole solver stack scores through it.
+// FuzzSatisfiedDropping pits the word-parallel counting kernels against a
+// naive per-query rescorer on fuzzer-shaped logs, weighted and unweighted.
+// The kernels compute satisfied weights by AND-NOT peeling over the inverted
+// index; the naive oracle walks the raw queries. Any divergence is a
+// soundness bug in the index — the whole solver stack scores through it.
 //
 // Input layout: byte 0 picks the width (1..16), byte 1 the query count
 // (0..40); each following byte pair forms one query's bit pattern, then two
-// bytes shape the tuple and the kept subset.
+// bytes shape the tuple and the kept subset. An optional last byte makes the
+// log weighted when non-zero and derives each query's weight (1..7) from it.
 func FuzzSatisfiedDropping(f *testing.F) {
 	f.Add([]byte{6, 3, 0b11, 0, 0b101, 0, 0b10000, 0, 0b111111, 0b1011})
 	f.Add([]byte{16, 2, 0xff, 0xff, 0x01, 0x80, 0xff, 0xff, 0x0f, 0x00})
 	f.Add([]byte{1, 1, 1, 0, 1, 1})
 	f.Add([]byte{9, 0, 0xaa, 0x01})
+	f.Add([]byte{6, 4, 0b11, 0, 0b101, 0, 0b110, 0, 0b10, 0, 0b111111, 0b111, 0x5b})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -60,7 +63,13 @@ func FuzzSatisfiedDropping(f *testing.F) {
 			return
 		}
 		tuple := pattern(data[:1])
-		kept := pattern(data[1:]).And(tuple) // kept ⊆ tuple by construction
+		kept := pattern(data[1:2]).And(tuple) // kept ⊆ tuple by construction
+		if len(data) > 2 && data[2] != 0 {
+			log.Weights = make([]int, log.Size())
+			for i := range log.Weights {
+				log.Weights[i] = 1 + (int(data[2])*(i+1))%7
+			}
+		}
 
 		drop := tuple.AndNot(kept).Ones()
 
@@ -73,12 +82,18 @@ func FuzzSatisfiedDropping(f *testing.F) {
 				t.Fatalf("BuildWith(mode %d): %v", mode, err)
 			}
 
-			cand := ix.Candidates(tuple)
-			got := ix.SatisfiedDropping(cand, drop, nil)
+			// CandidateSet holds exactly the queries inside the tuple.
+			cs := ix.CandidateSet(tuple)
+			if got, want := cs.Ones(), log.SatisfiedBy(tuple); !slices.Equal(got, want) {
+				t.Fatalf("mode %d: CandidateSet = %v, queries inside the tuple = %v (tuple=%s)", mode, got, want, tuple)
+			}
+			sc := ix.NewScratch()
+			got := ix.SatisfiedDropping(cs, drop, sc)
 
-			// Oracle 1: walk cand and test each query against drop directly.
+			// Oracle 1: walk the candidates and test each query against drop
+			// directly.
 			naive := 0
-			for _, qi := range cand.Ones() {
+			for _, qi := range cs.Ones() {
 				hits := false
 				q := log.Queries[qi]
 				for _, a := range drop {
@@ -88,7 +103,7 @@ func FuzzSatisfiedDropping(f *testing.F) {
 					}
 				}
 				if !hits {
-					naive++
+					naive += log.Weight(qi)
 				}
 			}
 			if got != naive {
@@ -96,7 +111,7 @@ func FuzzSatisfiedDropping(f *testing.F) {
 					mode, got, naive, width, len(log.Queries), tuple, kept)
 			}
 
-			// Oracle 2: with cand = Candidates(tuple) and kept ⊆ tuple,
+			// Oracle 2: with cand = CandidateSet(tuple) and kept ⊆ tuple,
 			// dropping tuple\kept leaves exactly the queries contained in
 			// kept — the definition the raw log computes.
 			if want := log.Satisfied(kept); got != want {
@@ -104,31 +119,13 @@ func FuzzSatisfiedDropping(f *testing.F) {
 					mode, got, want, tuple, kept)
 			}
 
-			// SatisfiedWithin must agree with its Dropping specialization.
-			if within := ix.SatisfiedWithin(cand, kept, nil); within != got {
-				t.Fatalf("mode %d: SatisfiedWithin = %d, SatisfiedDropping = %d", mode, within, got)
+			// Satisfied peels from the size bucket instead of the candidates
+			// and must land on the same count, with or without a scratch.
+			if s := ix.Satisfied(kept, sc); s != got {
+				t.Fatalf("mode %d: Satisfied = %d, SatisfiedDropping = %d", mode, s, got)
 			}
-
-			// The polymorphic Bits forms must match the dense forms exactly,
-			// whichever representation CandidateSet picked.
-			cs := ix.CandidateSet(tuple)
-			if cs.Count() != cand.Count() {
-				t.Fatalf("mode %d: CandidateSet count %d, Candidates %d", mode, cs.Count(), cand.Count())
-			}
-			for _, qi := range cand.Ones() {
-				if !cs.Get(qi) {
-					t.Fatalf("mode %d: CandidateSet missing query %d", mode, qi)
-				}
-			}
-			sc := ix.NewScratch()
-			if bg := ix.SatisfiedDroppingBits(cs, drop, sc); bg != got {
-				t.Fatalf("mode %d: SatisfiedDroppingBits = %d, dense = %d", mode, bg, got)
-			}
-			if bw := ix.SatisfiedWithinBits(cs, kept, sc); bw != got {
-				t.Fatalf("mode %d: SatisfiedWithinBits = %d, dense = %d", mode, bw, got)
-			}
-			if s := ix.Satisfied(kept); s != got {
-				t.Fatalf("mode %d: Satisfied = %d, want %d", mode, s, got)
+			if s := ix.Satisfied(kept, nil); s != got {
+				t.Fatalf("mode %d: Satisfied(nil scratch) = %d, SatisfiedDropping = %d", mode, s, got)
 			}
 		}
 	})
@@ -179,11 +176,11 @@ func FuzzSegmentMerge(f *testing.F) {
 			// wide ones.
 			check := func(v bitvec.Vector) {
 				want := log.Satisfied(v)
-				if got := seg.Satisfied(v); got != want {
+				if got := segSatisfied(seg, v); got != want {
 					t.Fatalf("step %d: segmented Satisfied(%s) = %d, raw = %d (%d segments)",
 						step, v, got, want, seg.Segments())
 				}
-				if got := oneShot.Satisfied(v); got != want {
+				if got := segSatisfied(oneShot, v); got != want {
 					t.Fatalf("step %d: one-shot Satisfied(%s) = %d, raw = %d", step, v, got, want)
 				}
 			}

@@ -27,63 +27,19 @@
 // The Options mode can force either representation everywhere; results are
 // bit-identical in all modes, only memory and speed differ (DESIGN.md §12).
 //
-// An Index is immutable after Build and safe for unbounded concurrent use;
-// Fingerprint ties it to the exact log contents it was built from.
+// An Index is immutable after Build and safe for unbounded concurrent use.
+// It keeps no reference to the log it was built from: Segmented owns the
+// snapshot (log, version, size, fingerprint) a set of segments indexes.
 package index
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"standout/internal/bitvec"
 	"standout/internal/dataset"
 )
-
-// Bitmap is a packed set of query indices: bit i set means query i of the
-// indexed log is a member. Bitmaps returned by Index methods that share
-// internal storage are documented as read-only.
-type Bitmap []uint64
-
-// Count returns the number of queries in the set.
-func (b Bitmap) Count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// Clone returns an independent copy of b.
-func (b Bitmap) Clone() Bitmap {
-	out := make(Bitmap, len(b))
-	copy(out, b)
-	return out
-}
-
-// Get reports whether query i is in the set. It panics with a descriptive
-// message if i is outside the bitmap's capacity [0, 64·len(b)) — note the
-// capacity is the indexed log size rounded up to a word, so ids in the
-// final word's padding read as false rather than panicking; Index methods
-// never hand out ids in that range.
-func (b Bitmap) Get(i int) bool {
-	if i < 0 || i >= len(b)*64 {
-		panic(fmt.Sprintf("index: query id %d out of range [0,%d)", i, len(b)*64))
-	}
-	return b[i/64]&(1<<(i%64)) != 0
-}
-
-// Ones returns the member query indices in increasing order.
-func (b Bitmap) Ones() []int {
-	out := make([]int, 0, b.Count())
-	for wi, w := range b {
-		for w != 0 {
-			t := bits.TrailingZeros64(w)
-			out = append(out, wi*64+t)
-			w &= w - 1
-		}
-	}
-	return out
-}
 
 // Mode selects how Build picks each column's and bucket's representation.
 type Mode uint8
@@ -124,24 +80,19 @@ const (
 // view of the same storage, boxed once at Build: converting a dense bitmap
 // to bitvec.Bits on every use would allocate in the scoring loops.
 type col struct {
-	dense Bitmap             // nil iff compressed
+	dense []uint64           // nil iff compressed
 	comp  *bitvec.Compressed // nil iff dense
 	set   bitvec.Bits
 }
 
-func denseCol(nq int, b Bitmap) col { return col{dense: b, set: bitvec.FromWords(nq, b)} }
+func denseCol(nq int, b []uint64) col { return col{dense: b, set: bitvec.FromWords(nq, b)} }
 
 func compCol(c *bitvec.Compressed) col { return col{comp: c, set: c} }
 
 // Index is an immutable inverted index over one query log.
 type Index struct {
-	log     *dataset.QueryLog
-	fp      uint64
-	version uint64
-	nq      int
-	width   int
-	words   int
-	mode    Mode
+	nq    int
+	width int
 
 	// cols[a] holds the queries containing attribute a; empty attributes
 	// share one zero set. allDense short-circuits scoring onto the plain
@@ -152,7 +103,7 @@ type Index struct {
 	// representation choices and early exits.
 	freq []int
 	// weights mirrors the log's per-query multiplicities (shared storage,
-	// nil for an unweighted log). When non-nil the Satisfied* family returns
+	// nil for an unweighted log). When non-nil the counting kernels return
 	// weighted totals: the peel loops still track member counts for their
 	// early exits, and the surviving set's weights are summed at the end.
 	weights []int
@@ -168,7 +119,7 @@ type Index struct {
 
 // Build indexes the log with Auto representation selection. Cost is one pass
 // over the log's set bits; the resulting index is safe for concurrent use
-// and must be discarded when the log is mutated (see Stale).
+// and must be discarded when the log is mutated.
 func Build(log *dataset.QueryLog) (*Index, error) { return BuildWith(log, Options{}) }
 
 // BuildWith is Build under explicit Options. Scoring results are identical
@@ -180,15 +131,10 @@ func BuildWith(log *dataset.QueryLog, opts Options) (*Index, error) {
 	nq, width := log.Size(), log.Width()
 	words := (nq + 63) / 64
 	ix := &Index{
-		log:     log,
-		fp:      log.Fingerprint(),
-		version: log.Version(),
-		nq:      nq,
-		width:   width,
-		words:   words,
-		mode:    opts.Mode,
-		cols:    make([]col, width),
-		freq:    make([]int, width),
+		nq:    nq,
+		width: width,
+		cols:  make([]col, width),
+		freq:  make([]int, width),
 	}
 
 	ix.weights = log.Weights
@@ -246,7 +192,7 @@ func BuildWith(log *dataset.QueryLog, opts Options) (*Index, error) {
 	}
 	slab := make([]uint64, slabCols*words)
 	if zero.comp == nil {
-		zero = denseCol(nq, Bitmap(slab[:words]))
+		zero = denseCol(nq, slab[:words])
 	}
 	ix.allDense = true
 	for a := 0; a < width; a++ {
@@ -260,7 +206,7 @@ func BuildWith(log *dataset.QueryLog, opts Options) (*Index, error) {
 			ix.cols[a] = compCol(bitvec.NewCompressed(nq))
 			ix.allDense = false
 		default:
-			ix.cols[a] = denseCol(nq, Bitmap(slab[next:next+words]))
+			ix.cols[a] = denseCol(nq, slab[next:next+words])
 			next += words
 		}
 	}
@@ -297,25 +243,10 @@ func BuildWith(log *dataset.QueryLog, opts Options) (*Index, error) {
 			ix.buckets[k] = compCol(bitvec.CompressedFrom(bitvec.FromWords(nq, cum)))
 			ix.allDense = false
 		} else {
-			b := make(Bitmap, words)
-			copy(b, cum)
-			ix.buckets[k] = denseCol(nq, b)
+			ix.buckets[k] = denseCol(nq, slices.Clone(cum))
 		}
 	}
 	return ix, nil
-}
-
-// Log returns the indexed query log.
-func (ix *Index) Log() *dataset.QueryLog { return ix.log }
-
-// Fingerprint returns the content hash of the log at build time.
-func (ix *Index) Fingerprint() uint64 { return ix.fp }
-
-// Stale reports whether the log has visibly changed since Build: its
-// version counter moved or its length differs. In-place bit flips that
-// bypass QueryLog.Touch are not detectable.
-func (ix *Index) Stale() bool {
-	return ix.log.Version() != ix.version || ix.log.Size() != ix.nq
 }
 
 // NumQueries returns the indexed log size S.
@@ -323,12 +254,6 @@ func (ix *Index) NumQueries() int { return ix.nq }
 
 // Width returns the attribute count M.
 func (ix *Index) Width() int { return ix.width }
-
-// Words returns the bitmap length in 64-bit words, for sizing scratch space.
-func (ix *Index) Words() int { return ix.words }
-
-// Mode returns the representation policy the index was built with.
-func (ix *Index) Mode() Mode { return ix.mode }
 
 // AttrFrequencies returns per-attribute query weight totals — plain counts
 // for an unweighted log, always equal to the log's own AttrFrequencies.
@@ -339,18 +264,15 @@ func (ix *Index) AttrFrequencies() []int { return ix.wfreq }
 // for an unweighted log) — the upper bound of Satisfied.
 func (ix *Index) TotalWeight() int { return ix.totalWeight }
 
-// Weighted reports whether the indexed log carries non-nil weights.
-func (ix *Index) Weighted() bool { return ix.weights != nil }
-
 // weightDense sums the weights of the members of a dense working set,
-// short-circuiting to the member count for unweighted logs. members < 0
-// means the count is unknown and must be recomputed.
-func (ix *Index) weightDense(set Bitmap, members int) int {
-	if ix.weights == nil {
+// short-circuiting to the member count for unweighted logs and empty sets.
+// members < 0 means the count is unknown and must be recomputed.
+func (ix *Index) weightDense(set []uint64, members int) int {
+	if ix.weights == nil || members == 0 {
 		if members >= 0 {
 			return members
 		}
-		return set.Count()
+		return bitvec.FromWords(ix.nq, set).Count()
 	}
 	t := 0
 	for wi, w := range set {
@@ -375,79 +297,14 @@ func (ix *Index) weightComp(set *bitvec.Compressed, members int) int {
 	return t
 }
 
-func (ix *Index) checkAttr(a int) {
-	if a < 0 || a >= ix.width {
-		panic(fmt.Sprintf("index: attribute %d out of range [0,%d)", a, ix.width))
-	}
-}
-
-// QueriesWith returns the dense bitmap of queries containing attribute a.
-// For a dense column the bitmap is the index's own storage (read-only); a
-// compressed column is materialized into a fresh bitmap on every call —
-// prefer Column in code that can work through the Bits interface.
-func (ix *Index) QueriesWith(a int) Bitmap {
-	ix.checkAttr(a)
-	c := ix.cols[a]
-	if c.comp != nil {
-		return Bitmap(c.comp.Dense().Words())
-	}
-	return c.dense
-}
-
-// Column returns the queries containing attribute a as a representation-
-// polymorphic set. Read-only: the value shares the index's storage.
-func (ix *Index) Column(a int) bitvec.Bits {
-	ix.checkAttr(a)
-	return ix.cols[a].set
-}
-
-// ColumnCompressed reports whether attribute a's column is stored in the
-// compressed representation.
-func (ix *Index) ColumnCompressed(a int) bool {
-	ix.checkAttr(a)
-	return ix.cols[a].comp != nil
-}
-
-// MaxQuerySize returns the largest number of attributes any query demands.
-func (ix *Index) MaxQuerySize() int { return ix.maxSize }
-
-// bucket returns the size-≤-k bucket, clamping k; ok is false on an empty
-// log (no buckets exist).
-func (ix *Index) bucket(k int) (col, bool) {
-	if len(ix.buckets) == 0 {
-		return col{}, false
-	}
-	if k < 0 {
-		k = 0
-	}
-	if k > ix.maxSize {
-		k = ix.maxSize
-	}
-	return ix.buckets[k], true
-}
-
-// SizeAtMost returns the dense bitmap of queries demanding at most k
-// attributes (k clamped to [0, MaxQuerySize]). For a dense bucket the bitmap
-// is shared read-only storage; a compressed bucket is materialized fresh.
-func (ix *Index) SizeAtMost(k int) Bitmap {
-	b, ok := ix.bucket(k)
-	if !ok {
-		return Bitmap{}
-	}
-	if b.comp != nil {
-		return Bitmap(b.comp.Dense().Words())
-	}
-	return b.dense
-}
-
-// Scratch is the reusable working set of the scoring methods: a dense word
-// buffer and a compressed set, so whichever representation a candidate set
+// Scratch is the reusable working set of the counting kernels: a dense word
+// buffer and a compressed set, so whichever representation a working set
 // arrives in can be copied and peeled without touching the allocator, plus
 // the attribute list Containing collects. One Scratch serves one goroutine;
 // create per-worker copies for parallel scoring (core's normalized.shard
 // does).
 type Scratch struct {
-	words Bitmap
+	words []uint64
 	comp  *bitvec.Compressed
 	attrs []int
 }
@@ -455,198 +312,51 @@ type Scratch struct {
 // NewScratch returns a Scratch sized for this index.
 func (ix *Index) NewScratch() *Scratch {
 	return &Scratch{
-		words: make(Bitmap, ix.words),
+		words: make([]uint64, (ix.nq+63)/64),
 		comp:  bitvec.NewCompressed(ix.nq),
 	}
 }
 
-// Candidates returns a fresh dense bitmap of the queries contained in t —
-// exactly the queries any compression of t could satisfy. It starts from
-// the size bucket ≤ popcount(t) and peels off the column of every attribute
-// t lacks, stopping early once the set is empty. CandidateSet is the
-// representation-preserving form.
-func (ix *Index) Candidates(t bitvec.Vector) Bitmap {
-	switch s := ix.CandidateSet(t).(type) {
-	case *bitvec.Compressed:
-		return Bitmap(s.Dense().Words())
-	case bitvec.Vector:
-		return Bitmap(s.Words())
-	default:
-		panic("index: unreachable candidate representation")
-	}
-}
-
-// CandidateSet is Candidates without forcing a representation: the result is
-// a fresh mutable set in the same representation as the size bucket it was
-// peeled from (a bitvec.Vector view over a fresh dense bitmap, or a
-// *bitvec.Compressed), so wide sparse schemas keep their candidates
-// compressed end to end.
+// CandidateSet returns the queries contained in t — exactly the queries any
+// compression of t could satisfy — as a fresh mutable set in the
+// representation of the size bucket it is peeled from: a bitvec.Vector over
+// fresh words, or a *bitvec.Compressed, so wide sparse schemas keep their
+// candidates compressed end to end. It starts from the queries of at most
+// |t| attributes and peels off the column of every attribute t lacks,
+// stopping once the set is empty.
 func (ix *Index) CandidateSet(t bitvec.Vector) bitvec.Bits {
-	if t.Width() != ix.width {
-		panic(fmt.Sprintf("index: tuple width %d, index width %d", t.Width(), ix.width))
-	}
-	b, ok := ix.bucket(t.Count())
-	if !ok || (b.comp == nil && b.dense == nil) {
-		return bitvec.New(ix.nq)
-	}
+	b := ix.bucket(t)
 	if b.comp != nil {
 		out := bitvec.NewCompressed(ix.nq)
 		out.CopyFrom(b.comp)
-		rem := out.Count()
-		for a := 0; a < ix.width && rem > 0; a++ {
-			if ix.freq[a] == 0 || t.Get(a) {
-				continue
-			}
-			rem -= out.AndNotWith(ix.cols[a].set)
-		}
+		ix.peelComp(out, outside(t))
 		return out
 	}
-	out := b.dense.Clone()
-	if ix.allDense {
-		ix.peel(out, t)
-	} else {
-		view := bitvec.FromWords(ix.nq, out)
-		rem := out.Count()
-		for a := 0; a < ix.width && rem > 0; a++ {
-			if ix.freq[a] == 0 || t.Get(a) {
-				continue
-			}
-			rem -= ix.dropOne(view, a)
-		}
-	}
+	out := slices.Clone(b.dense)
+	ix.peelDense(out, outside(t))
 	return bitvec.FromWords(ix.nq, out)
 }
 
-// Satisfied counts the queries retrieving v: |{q : q ⊆ v}|. Equivalent to
-// log.Satisfied(v) but word-parallel.
-func (ix *Index) Satisfied(v bitvec.Vector) int {
-	if v.Width() != ix.width {
-		panic(fmt.Sprintf("index: vector width %d, index width %d", v.Width(), ix.width))
-	}
-	b, ok := ix.bucket(v.Count())
-	if !ok {
-		return 0
-	}
-	return ix.SatisfiedWithinBits(b.set, v, nil)
+// Satisfied returns the total weight of the indexed queries contained in v —
+// |{q : q ⊆ v}| for an unweighted log, what log.Satisfied(v) counts by a
+// scan. It peels the column of every attribute v lacks from the queries of
+// at most |v| attributes, in the scratch. sc as in SatisfiedDropping.
+func (ix *Index) Satisfied(v bitvec.Vector, sc *Scratch) int {
+	return ix.count(ix.bucket(v).set, outside(v), sc)
 }
 
-// SatisfiedWithin counts the queries of cand that are contained in v,
-// assuming every query of cand already satisfies q ⊆ t for some tuple t ⊇ v
-// — then only the attributes of t\v need peeling, but peeling every a ∉ v is
-// always correct and SatisfiedWithin does exactly that, skipping attributes
-// that appear in no candidate query for free via the early exit.
-//
-// scratch, when non-nil, must have length Words() and is used as the working
-// set to avoid allocation in solver hot loops; cand itself is never written.
-func (ix *Index) SatisfiedWithin(cand Bitmap, v bitvec.Vector, scratch Bitmap) int {
-	if scratch == nil {
-		scratch = make(Bitmap, ix.words)
-	}
-	copy(scratch, cand)
-	if ix.allDense {
-		if !ix.peel(scratch, v) {
-			return 0
-		}
-		return ix.weightDense(scratch, -1)
-	}
-	view := bitvec.FromWords(ix.nq, scratch)
-	rem := scratch.Count()
-	for a := 0; a < ix.width && rem > 0; a++ {
-		if ix.freq[a] == 0 || v.Get(a) {
-			continue
-		}
-		rem -= ix.dropOne(view, a)
-	}
-	return ix.weightDense(scratch, rem)
-}
-
-// SatisfiedWithinBits is SatisfiedWithin over any candidate representation,
-// peeling in the representation cand arrived in. sc may be nil (a fresh
-// scratch is allocated); cand is never written.
-func (ix *Index) SatisfiedWithinBits(cand bitvec.Bits, v bitvec.Vector, sc *Scratch) int {
-	if sc == nil {
-		sc = ix.NewScratch()
-	}
-	c, ok := cand.(*bitvec.Compressed)
-	if !ok {
-		return ix.SatisfiedWithin(ix.denseOf(cand, sc), v, sc.words)
-	}
-	sc.comp.CopyFrom(c)
-	rem := sc.comp.Count()
-	for a := 0; a < ix.width && rem > 0; a++ {
-		if ix.freq[a] == 0 || v.Get(a) {
-			continue
-		}
-		rem -= sc.comp.AndNotWith(ix.cols[a].set)
-	}
-	return ix.weightComp(sc.comp, rem)
-}
-
-// SatisfiedDropping counts the queries of cand containing none of the
-// attributes in drop — the fastest scoring form when the caller already
-// knows the dropped attribute set (t \ v). scratch as in SatisfiedWithin.
-func (ix *Index) SatisfiedDropping(cand Bitmap, drop []int, scratch Bitmap) int {
-	if scratch == nil {
-		scratch = make(Bitmap, ix.words)
-	}
-	copy(scratch, cand)
-	if ix.allDense {
-		for _, a := range drop {
-			if ix.freq[a] == 0 {
-				continue
-			}
-			col := ix.cols[a].dense
-			live := false
-			for w := range scratch {
-				scratch[w] &^= col[w]
-				live = live || scratch[w] != 0
-			}
-			if !live {
-				return 0
-			}
-		}
-		return ix.weightDense(scratch, -1)
-	}
-	view := bitvec.FromWords(ix.nq, scratch)
-	rem := scratch.Count()
-	for _, a := range drop {
-		if rem == 0 {
-			return 0
-		}
-		if ix.freq[a] == 0 {
-			continue
-		}
-		rem -= ix.dropOne(view, a)
-	}
-	return ix.weightDense(scratch, rem)
-}
-
-// SatisfiedDroppingBits is SatisfiedDropping over any candidate
-// representation — the solvers' hot loop. A compressed candidate set is
-// copied into the compressed scratch (allocation-free once warm) and peeled
-// member-wise: each drop costs O(|working set|) membership tests against
-// the column, independent of the log size. sc may be nil; cand is never
-// written.
-func (ix *Index) SatisfiedDroppingBits(cand bitvec.Bits, drop []int, sc *Scratch) int {
-	if sc == nil {
-		sc = ix.NewScratch()
-	}
-	c, ok := cand.(*bitvec.Compressed)
-	if !ok {
-		return ix.SatisfiedDropping(ix.denseOf(cand, sc), drop, sc.words)
-	}
-	sc.comp.CopyFrom(c)
-	rem := sc.comp.Count()
-	for _, a := range drop {
-		if rem == 0 {
-			return 0
-		}
-		if ix.freq[a] == 0 {
-			continue
-		}
-		rem -= sc.comp.AndNotWith(ix.cols[a].set)
-	}
-	return ix.weightComp(sc.comp, rem)
+// SatisfiedDropping returns the total weight of the queries of cand that
+// hold none of the attributes in drop — the solvers' hot loop, where cand is
+// the CandidateSet of a tuple t and drop is t \ v, so the result is the
+// count of the compression v. cand must be a CandidateSet result (or any
+// bitvec.Vector or *bitvec.Compressed over the indexed queries); it is
+// never written. The peel runs in cand's representation: a compressed cand
+// is copied into the scratch's compressed set and each drop costs
+// O(|working set|) membership tests, independent of the log size. sc may be
+// nil (a fresh scratch is allocated); a warm scratch makes the call
+// allocation-free.
+func (ix *Index) SatisfiedDropping(cand bitvec.Bits, drop []int, sc *Scratch) int {
+	return ix.count(cand, &dropped{list: drop}, sc)
 }
 
 // Containing returns the total weight of the indexed queries that contain
@@ -659,9 +369,7 @@ func (ix *Index) SatisfiedDroppingBits(cand bitvec.Bits, drop []int, sc *Scratch
 // fresh scratch is allocated); a warm scratch makes the call allocation-
 // free.
 func (ix *Index) Containing(v bitvec.Vector, sc *Scratch) int {
-	if v.Width() != ix.width {
-		panic(fmt.Sprintf("index: vector width %d, index width %d", v.Width(), ix.width))
-	}
+	ix.checkWidth(v)
 	if sc == nil {
 		sc = ix.NewScratch()
 	}
@@ -717,62 +425,103 @@ func (ix *Index) Containing(v bitvec.Vector, sc *Scratch) int {
 	return ix.weightDense(set, -1)
 }
 
-// denseOf views cand's words, materializing through the scratch buffer only
-// for foreign Bits implementations.
-func (ix *Index) denseOf(cand bitvec.Bits, sc *Scratch) Bitmap {
-	if v, ok := cand.(bitvec.Vector); ok {
-		return Bitmap(v.Words())
+func (ix *Index) checkWidth(v bitvec.Vector) {
+	if v.Width() != ix.width {
+		panic(fmt.Sprintf("index: vector width %d, index width %d", v.Width(), ix.width))
 	}
-	for i := range sc.words {
-		sc.words[i] = 0
-	}
-	cand.Range(func(i int) bool {
-		sc.words[i/64] |= 1 << (i % 64)
-		return true
-	})
-	// The scratch doubles as the working set afterwards: hand back a copy.
-	return sc.words.Clone()
 }
 
-// dropOne removes column a from a dense working set, returning how many
-// queries were removed. Dense columns run the word loop; compressed columns
-// touch only their members.
-func (ix *Index) dropOne(set bitvec.Vector, a int) int {
-	c := ix.cols[a]
-	if c.comp != nil {
-		return set.AndNotWith(c.comp)
-	}
-	words := set.Words()
-	removed := 0
-	for w := range words {
-		old := words[w]
-		words[w] = old &^ c.dense[w]
-		removed += bits.OnesCount64(old &^ words[w])
-	}
-	return removed
+// bucket returns the size bucket of the queries that can fit inside v: those
+// of at most |v| attributes.
+func (ix *Index) bucket(v bitvec.Vector) *col {
+	ix.checkWidth(v)
+	return &ix.buckets[min(v.Count(), ix.maxSize)]
 }
 
-// peel removes from set every query containing an attribute outside v and
-// reports whether the set is still non-empty. All-dense fast path.
-func (ix *Index) peel(set Bitmap, v bitvec.Vector) bool {
-	if len(set) == 0 {
-		return false
+// dropped names the attributes a peel removes from its working set: each
+// attribute of list, or, built by outside, every attribute keep lacks.
+type dropped struct {
+	list    []int
+	keep    bitvec.Vector
+	outside bool
+}
+
+func outside(keep bitvec.Vector) *dropped { return &dropped{keep: keep, outside: true} }
+
+// len returns how many positions at ranges over, given the index width.
+func (d *dropped) len(width int) int {
+	if d.outside {
+		return width
 	}
-	for a := 0; a < ix.width; a++ {
-		if ix.freq[a] == 0 || v.Get(a) {
+	return len(d.list)
+}
+
+// at returns the i-th attribute and whether it is dropped. Lazily, so a
+// peel that empties its set early never looks at the remaining attributes.
+func (d *dropped) at(i int) (int, bool) {
+	if d.outside {
+		return i, !d.keep.Get(i)
+	}
+	return d.list[i], true
+}
+
+// count copies start into the scratch, in start's representation, peels the
+// dropped attributes and returns the weight of the queries left.
+func (ix *Index) count(start bitvec.Bits, d *dropped, sc *Scratch) int {
+	if sc == nil {
+		sc = ix.NewScratch()
+	}
+	if c, ok := start.(*bitvec.Compressed); ok {
+		sc.comp.CopyFrom(c)
+		return ix.weightComp(sc.comp, ix.peelComp(sc.comp, d))
+	}
+	copy(sc.words, start.(bitvec.Vector).Words())
+	return ix.weightDense(sc.words, ix.peelDense(sc.words, d))
+}
+
+// peelDense removes from a dense working set every query holding a dropped
+// attribute, stopping once the set is empty, and returns how many members
+// are left. An all-dense index runs the plain word loop, which tracks only
+// whether the set is still non-empty, and returns -1 (not counted) unless it
+// emptied the set; a mixed index counts, peeling a compressed column by its
+// members and a dense one word by word.
+func (ix *Index) peelDense(set []uint64, d *dropped) int {
+	vec := bitvec.FromWords(ix.nq, set)
+	rem := -1
+	if !ix.allDense {
+		rem = vec.Count()
+	}
+	for i, n := 0, d.len(ix.width); i < n && rem != 0; i++ {
+		a, ok := d.at(i)
+		if !ok || ix.freq[a] == 0 {
 			continue
 		}
-		col := ix.cols[a].dense
-		live := false
+		if !ix.allDense {
+			rem -= vec.AndNotWith(ix.cols[a].set)
+			continue
+		}
+		col, live := ix.cols[a].dense, uint64(0)
 		for w := range set {
 			set[w] &^= col[w]
-			live = live || set[w] != 0
+			live |= set[w]
 		}
-		if !live {
-			return false
+		if live == 0 {
+			return 0
 		}
 	}
-	return true
+	return rem
+}
+
+// peelComp is peelDense for a compressed working set: each column costs
+// O(|working set|) membership tests, whatever its own representation.
+func (ix *Index) peelComp(set *bitvec.Compressed, d *dropped) int {
+	rem := set.Count()
+	for i, n := 0, d.len(ix.width); i < n && rem > 0; i++ {
+		if a, ok := d.at(i); ok && ix.freq[a] != 0 {
+			rem -= set.AndNotWith(ix.cols[a].set)
+		}
+	}
+	return rem
 }
 
 // MemStats reports how the index stored its sets and an estimate of the

@@ -51,36 +51,34 @@ func TestAgainstNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ix.NumQueries() != nq || ix.Width() != width || ix.Log() != log {
+		if ix.NumQueries() != nq || ix.Width() != width {
 			t.Fatalf("shape: got (%d,%d)", ix.NumQueries(), ix.Width())
 		}
-		if got, want := ix.Fingerprint(), log.Fingerprint(); got != want {
-			t.Fatalf("fingerprint %d != log %d", got, want)
-		}
 
+		sc := ix.NewScratch()
 		wantFreq := log.AttrFrequencies()
 		for a := 0; a < width; a++ {
 			if ix.AttrFrequencies()[a] != wantFreq[a] {
 				t.Fatalf("freq[%d] = %d, want %d", a, ix.AttrFrequencies()[a], wantFreq[a])
 			}
-			if got := ix.QueriesWith(a).Count(); got != wantFreq[a] {
-				t.Fatalf("|QueriesWith(%d)| = %d, want %d", a, got, wantFreq[a])
+			if got := ix.Containing(bitvec.FromIndices(width, a), sc); got != wantFreq[a] {
+				t.Fatalf("Containing({%d}) = %d, want %d", a, got, wantFreq[a])
 			}
 		}
 
 		for probe := 0; probe < 10; probe++ {
 			tuple := randomVec(r, width, r.Float64())
-			if got, want := ix.Satisfied(tuple), log.Satisfied(tuple); got != want {
+			if got, want := ix.Satisfied(tuple, nil), log.Satisfied(tuple); got != want {
 				t.Fatalf("Satisfied = %d, want %d (width=%d nq=%d)", got, want, width, nq)
 			}
-			cand := ix.Candidates(tuple)
+			cand := ix.CandidateSet(tuple)
 			wantIdx := log.SatisfiedBy(tuple)
 			if gotIdx := cand.Ones(); len(gotIdx) != len(wantIdx) {
-				t.Fatalf("|Candidates| = %d, want %d", len(gotIdx), len(wantIdx))
+				t.Fatalf("|CandidateSet| = %d, want %d", len(gotIdx), len(wantIdx))
 			} else {
 				for i := range gotIdx {
 					if gotIdx[i] != wantIdx[i] {
-						t.Fatalf("Candidates[%d] = %d, want %d", i, gotIdx[i], wantIdx[i])
+						t.Fatalf("CandidateSet[%d] = %d, want %d", i, gotIdx[i], wantIdx[i])
 					}
 					if !cand.Get(gotIdx[i]) {
 						t.Fatalf("Get(%d) = false inside Ones()", gotIdx[i])
@@ -96,8 +94,8 @@ func TestAgainstNaive(t *testing.T) {
 				}
 			}
 			want := log.Satisfied(kept)
-			if got := ix.SatisfiedWithin(cand, kept, nil); got != want {
-				t.Fatalf("SatisfiedWithin = %d, want %d", got, want)
+			if got := ix.Satisfied(kept, sc); got != want {
+				t.Fatalf("Satisfied(kept) = %d, want %d", got, want)
 			}
 			var drop []int
 			for _, a := range tuple.Ones() {
@@ -105,8 +103,7 @@ func TestAgainstNaive(t *testing.T) {
 					drop = append(drop, a)
 				}
 			}
-			scratch := make(Bitmap, ix.Words())
-			if got := ix.SatisfiedDropping(cand, drop, scratch); got != want {
+			if got := ix.SatisfiedDropping(cand, drop, sc); got != want {
 				t.Fatalf("SatisfiedDropping = %d, want %d", got, want)
 			}
 		}
@@ -120,14 +117,14 @@ func TestEmptyLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	tuple := bitvec.FromIndices(5, 0, 2)
-	if got := ix.Satisfied(tuple); got != 0 {
+	if got := ix.Satisfied(tuple, nil); got != 0 {
 		t.Fatalf("Satisfied on empty log = %d", got)
 	}
-	if got := ix.Candidates(tuple).Count(); got != 0 {
-		t.Fatalf("Candidates on empty log = %d", got)
+	if got := ix.CandidateSet(tuple).Count(); got != 0 {
+		t.Fatalf("CandidateSet on empty log = %d", got)
 	}
-	if ix.MaxQuerySize() != 0 {
-		t.Fatalf("MaxQuerySize = %d", ix.MaxQuerySize())
+	if ix.maxSize != 0 {
+		t.Fatalf("max query size = %d", ix.maxSize)
 	}
 }
 
@@ -142,13 +139,19 @@ func TestSizeBuckets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, want := range map[int]int{-1: 0, 0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 99: 4} {
-		if got := ix.SizeAtMost(k).Count(); got != want {
-			t.Fatalf("SizeAtMost(%d) = %d, want %d", k, got, want)
+	// The bucket a k-attribute vector starts from holds the queries of at
+	// most k attributes, clamped at the largest query.
+	for k, want := range []int{0, 1, 2, 3, 4, 4, 4} {
+		v := bitvec.New(6)
+		for a := 0; a < k; a++ {
+			v.Set(a)
+		}
+		if got := ix.bucket(v).set.Count(); got != want {
+			t.Fatalf("bucket(|v|=%d) = %d queries, want %d", k, got, want)
 		}
 	}
-	if ix.MaxQuerySize() != 4 {
-		t.Fatalf("MaxQuerySize = %d, want 4", ix.MaxQuerySize())
+	if ix.maxSize != 4 {
+		t.Fatalf("max query size = %d, want 4", ix.maxSize)
 	}
 }
 
@@ -157,7 +160,7 @@ func TestStale(t *testing.T) {
 	if err := log.Append(bitvec.FromIndices(4, 0)); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := Build(log)
+	ix, err := BuildSegmented(log, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +174,7 @@ func TestStale(t *testing.T) {
 		t.Fatal("index not stale after Append")
 	}
 
-	ix2, err := Build(log)
+	ix2, err := BuildSegmented(log, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +200,9 @@ func TestPanicsOnWidthMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, fn := range map[string]func(){
-		"Candidates": func() { ix.Candidates(bitvec.New(9)) },
-		"Satisfied":  func() { ix.Satisfied(bitvec.New(7)) },
-		"QueriesWith": func() {
-			ix.QueriesWith(8)
-		},
+		"CandidateSet": func() { ix.CandidateSet(bitvec.New(9)) },
+		"Satisfied":    func() { ix.Satisfied(bitvec.New(7), nil) },
+		"Containing":   func() { ix.Containing(bitvec.New(9), nil) },
 	} {
 		func() {
 			defer func() {
@@ -211,17 +212,5 @@ func TestPanicsOnWidthMismatch(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestBitmapClone(t *testing.T) {
-	b := Bitmap{0b1011}
-	c := b.Clone()
-	c[0] = 0
-	if b[0] != 0b1011 {
-		t.Fatal("Clone shares storage")
-	}
-	if got := b.Count(); got != 3 {
-		t.Fatalf("Count = %d", got)
 	}
 }

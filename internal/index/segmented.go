@@ -3,7 +3,6 @@ package index
 import (
 	"fmt"
 
-	"standout/internal/bitvec"
 	"standout/internal/dataset"
 )
 
@@ -17,8 +16,8 @@ import (
 // schedule.
 //
 // Exactness composes additively: a query index qi of the log lives in
-// exactly one segment (the one whose window contains it), every Satisfied
-// variant of a segment counts only its own window, and the sum over segments
+// exactly one segment (the one whose window contains it), every counting
+// kernel of a segment counts only its own window, and the sum over segments
 // therefore equals the count a monolithic index would return. The
 // differential suite in internal/core pins bit-identical solver answers
 // between the two; FuzzSegmentMerge pins that any append/compact schedule
@@ -211,28 +210,9 @@ func (s *Segmented) Stale() bool {
 	return s.log.Version() != s.version || s.log.Size() != s.nq
 }
 
-// AppendOnlySince reports whether the log at (version, size) grew into s's
-// snapshot purely through appends — the certificate that a delta build over
-// [size, NumQueries) is sound. It relies on Append advancing the version by
-// exactly 1 per query and Touch by 2.
-func (s *Segmented) AppendOnlySince(version uint64, size int) bool {
-	ds := s.nq - size
-	return ds >= 0 && s.version-version == uint64(ds)
-}
-
 // AttrFrequencies returns the per-attribute weighted frequencies aggregated
 // across segments, equal to the log's own AttrFrequencies. Read-only.
 func (s *Segmented) AttrFrequencies() []int { return s.freq }
-
-// Satisfied returns the total weight of covered queries retrieving v —
-// the per-segment counts summed. Equivalent to log.Satisfied(v).
-func (s *Segmented) Satisfied(v bitvec.Vector) int {
-	total := 0
-	for _, seg := range s.segs {
-		total += seg.Satisfied(v)
-	}
-	return total
-}
 
 // Mem aggregates the segments' representation statistics.
 func (s *Segmented) Mem() MemStats {
