@@ -23,11 +23,12 @@ test:
 # shared PreparedLog index + solution memo, the LRU); race-test it on every
 # check, together with the bitvec layer whose compressed sets the index
 # shares read-only across workers, the obsv layer whose lock-free flight
-# ring is written by every request, and the httpx plumbing (admission gate,
-# tracing middleware) both servers share. `go test -race ./...` also works
+# ring is written by every request, the httpx plumbing (admission gate,
+# tracing middleware) both servers share, and socserve's process wiring
+# (listener drain, sharded end to end). `go test -race ./...` also works
 # but takes much longer on the bench package.
 test-race:
-	go test -race ./internal/bitvec/... ./internal/compact/... ./internal/core/... ./internal/cache/... ./internal/estimate/... ./internal/index/... ./internal/ilp/... ./internal/itemsets/... ./internal/par/... ./internal/serve/... ./internal/shard/... ./internal/httpx/... ./internal/fault/... ./internal/obsv/...
+	go test -race ./internal/bitvec/... ./internal/compact/... ./internal/core/... ./internal/cache/... ./internal/estimate/... ./internal/index/... ./internal/ilp/... ./internal/itemsets/... ./internal/par/... ./internal/serve/... ./internal/shard/... ./internal/httpx/... ./internal/fault/... ./internal/obsv/... ./cmd/socserve/...
 
 # 30 seconds of fault-injected chaos storms against the serving layer under
 # the race detector: injected panics, delays, forced staleness, live log

@@ -79,6 +79,7 @@ import (
 	"net/http"
 	"os"
 	"strings"
+	"sync"
 	"time"
 
 	"standout/internal/compact"
@@ -348,6 +349,33 @@ func serveHTTP(ctx context.Context, addr string, h http.Handler, grace time.Dura
 		Handler:     h,
 		BaseContext: func(net.Listener) context.Context { return ctx },
 	}
+	// Shutdown counts a connection that has sent no request yet (StateNew)
+	// as busy for 5 s, so one such connection — a coordinator's abandoned
+	// hedge dial, say — would hold the drain to its full grace. Close them
+	// once the listener is closed, and any that arrive after.
+	var connMu sync.Mutex
+	silent := map[net.Conn]bool{}
+	draining := false
+	hs.ConnState = func(c net.Conn, s http.ConnState) {
+		connMu.Lock()
+		defer connMu.Unlock()
+		switch {
+		case s != http.StateNew:
+			delete(silent, c)
+		case draining:
+			c.Close()
+		default:
+			silent[c] = true
+		}
+	}
+	hs.RegisterOnShutdown(func() {
+		connMu.Lock()
+		defer connMu.Unlock()
+		draining = true
+		for c := range silent {
+			c.Close()
+		}
+	})
 	// The resolved address (meaningful with :0) prints before serving starts,
 	// so scripts and tests can scrape the port from stderr.
 	fmt.Fprintf(stderr, "socserve: %s; listening on http://%s\n", banner, ln.Addr())

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -380,5 +381,31 @@ func TestShardFlagValidation(t *testing.T) {
 	err := run(context.Background(), []string{"-shards", "http://127.0.0.1:1", "-gen", "10"}, &out, &out)
 	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
 		t.Errorf("-shards with -gen: err = %v, want mutual-exclusion error", err)
+	}
+}
+
+// TestDrainClosesSilentConnections pins the drain with a connection that
+// never sends a request, such as one a coordinator dialed for a hedge it then
+// abandoned. http.Server.Shutdown counts such a connection as busy for 5 s,
+// so unless the server closes it the drain runs to its full -grace and run
+// reports a shutdown deadline.
+func TestDrainClosesSilentConnections(t *testing.T) {
+	url, shutdown := startServer(t, "-gen", "50")
+	conn, err := net.Dial("tcp", strings.TrimPrefix(url, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The listener accepts in arrival order, so once a later connection is
+	// answered the silent one has been accepted too.
+	resp, err := http.Get(url + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	start := time.Now()
+	shutdown()
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("drain took %v with a silent connection open, want well under the 2s grace", elapsed)
 	}
 }

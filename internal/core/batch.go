@@ -75,14 +75,14 @@ func SolveBatch(s Solver, log *dataset.QueryLog, tuples []bitvec.Vector, m, work
 // and every worker solves through it, memoizing solutions for repeated
 // tuples. A context-attached PreparedLog for a different log is ignored.
 //
-// Scheduling runs on the work-stealing engine of internal/par: tuples start
-// evenly range-split across workers and idle workers steal from the busiest
-// range, so one pathologically slow tuple cannot strand the cheap tuples
-// queued behind it. Results are written by tuple index, so the schedule is
-// invisible in the output (DESIGN.md §11). The batch is normalized before
-// any worker sizing: an empty batch returns before the scheduler is even
-// constructed, and a single-tuple or single-worker batch runs entirely on
-// the calling goroutine — zero goroutines spawned either way.
+// Scheduling runs on internal/par's shared cursor: each worker takes the
+// next unclaimed tuple as soon as it is free, so one pathologically slow
+// tuple cannot strand the cheap tuples queued behind it. Results are written
+// by tuple index, so the schedule is invisible in the output (DESIGN.md
+// §11). The batch is normalized before any worker sizing: an empty batch
+// returns before the scheduler is even constructed, and a single-tuple or
+// single-worker batch runs entirely on the calling goroutine — zero
+// goroutines spawned either way.
 func SolveBatchContext(ctx context.Context, s Solver, log *dataset.QueryLog, tuples []bitvec.Vector, m, workers int) ([]Solution, []error, error) {
 	// Normalize the batch shape first; worker sizing comes after, so a batch
 	// with nothing to do never consults the scheduler at all.
@@ -166,7 +166,6 @@ func SolveBatchContext(ctx context.Context, s Solver, log *dataset.QueryLog, tup
 	tr.Count("batch.solved", int64(solved))
 	tr.Count("batch.failed", int64(failed))
 	tr.Count("batch.skipped", int64(skipped))
-	tr.Count("batch.steals", res.Steals)
 	if lg := obsv.Logger(ctx); lg != nil {
 		attrs := []slog.Attr{
 			slog.String("solver", s.Name()),
@@ -174,7 +173,6 @@ func SolveBatchContext(ctx context.Context, s Solver, log *dataset.QueryLog, tup
 			slog.Int("solved", solved),
 			slog.Int("failed", failed),
 			slog.Int("skipped", skipped),
-			slog.Int64("steals", res.Steals),
 			slog.Duration("elapsed", time.Since(t0)),
 		}
 		if id := obsv.TraceIDStringFromContext(ctx); id != "" {

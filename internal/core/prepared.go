@@ -66,6 +66,14 @@ type PreparedLog struct {
 	seg   *index.Segmented
 	delta bool // built incrementally by PrepareLogFrom
 
+	// scratch holds sum's idle kernel scratches, each one *index.Scratch
+	// per segment of seg, so a warm count allocates only its result. A
+	// free list rather than a sync.Pool, which under the race detector
+	// drops a quarter of its Puts at random and so makes allocation counts
+	// vary from run to run.
+	scratchMu sync.Mutex
+	scratch   [][]*index.Scratch
+
 	sols *cache.LRU[solutionKey, Solution]
 
 	// Lazily built itemset-frequency model for the Estimate solver

@@ -78,14 +78,28 @@ func (p *PreparedLog) containing(ctx context.Context, cands []bitvec.Vector) ([]
 
 // sum returns, for each candidate, the per-segment kernel summed over the
 // prep's segments — exact because each query lives in exactly one segment.
-// Each segment gets one scratch for the whole call.
+// Each segment gets one scratch for the whole call, from the prep's free
+// list: a prep's segments never change, so its scratches fit every call.
 func (p *PreparedLog) sum(ctx context.Context, cands []bitvec.Vector, kernel func(*index.Index, bitvec.Vector, *index.Scratch) int) ([]int, error) {
 	seg := p.seg
-	counts := make([]int, len(cands))
-	scratch := make([]*index.Scratch, seg.Segments())
-	for si := range scratch {
-		scratch[si] = seg.Segment(si).NewScratch()
+	var scratch []*index.Scratch
+	p.scratchMu.Lock()
+	if n := len(p.scratch); n > 0 {
+		scratch, p.scratch = p.scratch[n-1], p.scratch[:n-1]
 	}
+	p.scratchMu.Unlock()
+	if scratch == nil {
+		scratch = make([]*index.Scratch, seg.Segments())
+		for si := range scratch {
+			scratch[si] = seg.Segment(si).NewScratch()
+		}
+	}
+	defer func() {
+		p.scratchMu.Lock()
+		p.scratch = append(p.scratch, scratch)
+		p.scratchMu.Unlock()
+	}()
+	counts := make([]int, len(cands))
 	for ci, cand := range cands {
 		if ci&pollMask == 0 {
 			if err := pollCtx(ctx); err != nil {

@@ -9,6 +9,7 @@ import (
 	"standout/internal/compact"
 	"standout/internal/dataset"
 	"standout/internal/fault"
+	"standout/internal/gen"
 	"standout/internal/index"
 )
 
@@ -87,5 +88,41 @@ func TestCountOraclesSegmentedMatchScan(t *testing.T) {
 					i, mode, prep.Segments(), v.Ones(), gotSat[ci], wantSat[ci], gotCon[ci], wantCon[ci])
 			}
 		}
+	}
+}
+
+// TestCountContainingWarmAllocsOnce pins the scratch reuse of the prepared
+// counts: once a call has left its scratches on the prep's free list,
+// CountContaining over a multi-segment prep allocates only its result.
+func TestCountContainingWarmAllocsOnce(t *testing.T) {
+	tab := gen.Cars(1, 200)
+	base := gen.RealWorkload(tab, 2, 400)
+	prep, err := PrepareLog(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := base.Extend()
+	for _, q := range gen.RealWorkload(tab, 3, 8).Queries {
+		if err := log.Append(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if prep, err = PrepareLogFrom(prep, log); err != nil {
+		t.Fatal(err)
+	}
+	if prep.Segments() < 2 {
+		t.Fatalf("prep has %d segment(s), want a multi-segment layout", prep.Segments())
+	}
+	ctx := WithPrepared(context.Background(), prep)
+	w := log.Width()
+	cands := []bitvec.Vector{bitvec.FromIndices(w, 0, 1), bitvec.FromIndices(w, 2, 5), bitvec.FromIndices(w, 1, 3, 4)}
+	count := func() {
+		if _, err := CountContaining(ctx, log, cands); err != nil {
+			t.Fatal(err)
+		}
+	}
+	count()
+	if allocs := testing.AllocsPerRun(100, count); allocs != 1 {
+		t.Fatalf("warm CountContaining over %d segments allocates %.0f times, want 1 (the result)", prep.Segments(), allocs)
 	}
 }

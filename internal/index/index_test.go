@@ -9,7 +9,7 @@ import (
 )
 
 // randomLog builds a log with nq random queries of 1..maxQ attributes.
-func randomLog(t *testing.T, r *rand.Rand, width, nq, maxQ int) *dataset.QueryLog {
+func randomLog(t testing.TB, r *rand.Rand, width, nq, maxQ int) *dataset.QueryLog {
 	t.Helper()
 	log := dataset.NewQueryLog(dataset.GenericSchema(width))
 	for i := 0; i < nq; i++ {

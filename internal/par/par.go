@@ -1,14 +1,11 @@
-// Package par is the repository's parallel execution engine: a bounded
-// worker pool running indexed work items with work stealing, context
-// cancellation, per-item panic capture and deterministic result placement.
+// Package par is the repository's parallel loop: Run executes indexed work
+// items on a bounded set of workers with context cancellation, per-item
+// panic capture and deterministic result placement.
 //
-// The unit of scheduling is a contiguous index range, not a single item. A
-// job over n items starts as W range cells, one per worker; a worker pops
-// items off the front of its own cell, and when the cell drains it steals the
-// upper half of the fullest remaining cell. Ranges live in the job — never in
-// a worker goroutine — so a pool that shrinks mid-job strands no items, and
-// the stealing granularity halves itself toward single items exactly where
-// the work is skewed (the "one huge tuple among tiny ones" regime).
+// The workers share one cursor: each takes the next unclaimed index from a
+// single atomic counter until the counter passes n. A worker held by one slow
+// item therefore holds no other item back — the items behind it go to
+// whichever workers are free (the "one huge tuple among tiny ones" regime).
 //
 // Determinism contract: the scheduler never reorders observable results.
 // Item i's effects go to slot i of caller-owned storage; which goroutine runs
@@ -32,12 +29,10 @@ import (
 	"standout/internal/obsv"
 )
 
-// Pool-level process metrics, shared by every job in the process.
+// Process metrics, shared by every job in the process.
 var (
 	mItems = obsv.Default.Counter("standout_par_items_total",
 		"Work items executed by the parallel scheduler.")
-	mSteals = obsv.Default.Counter("standout_par_steals_total",
-		"Range steals between workers of the parallel scheduler.")
 	mBusy = obsv.Default.Gauge("standout_par_busy_workers",
 		"Workers currently executing a work item.")
 	mQueued = obsv.Default.Gauge("standout_par_queue_depth",
@@ -71,9 +66,8 @@ func (e *PanicError) Error() string { return fmt.Sprintf("par: item panicked: %v
 
 // Options tunes one job.
 type Options struct {
-	// Workers is the total concurrency including the calling goroutine in
-	// Run (Run spawns Workers−1 goroutines); ≤ 0 means GOMAXPROCS. ForEach
-	// ignores it — the pool's workers are the concurrency.
+	// Workers is the total concurrency including the calling goroutine (Run
+	// spawns Workers−1 goroutines); ≤ 0 means GOMAXPROCS.
 	Workers int
 	// WrapPanic converts a recovered panic value and stack into the item's
 	// error; nil wraps into *PanicError.
@@ -91,168 +85,70 @@ type Result struct {
 	// Attempted counts items whose Func actually ran; len(Errs)−Attempted
 	// items were skipped by cancellation.
 	Attempted int
-	// Steals counts range steals within this job (0 on an unskewed job whose
-	// initial split was already balanced).
-	Steals int64
-	// Spawned counts goroutines started for this job: Workers−1 for Run
-	// (0 when the job is sequential), 0 for ForEach (the pool's workers are
-	// long-lived).
+	// Spawned counts goroutines started for this job: Workers−1, so 0 when
+	// the job is sequential.
 	Spawned int
 }
 
-// cell is one claimable index range [next, end). Workers pop the front of
-// their own cell and steal the back half of someone else's.
-type cell struct {
-	mu        sync.Mutex
-	next, end int
-}
-
-// job is one parallel loop: the cells, the per-item bookkeeping and the
-// completion latch.
+// job is one Run: the shared cursor and the per-item bookkeeping.
 type job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	fn     Func
 	wrap   func(v any, stack []byte) error
 
-	cells      []cell
-	unclaimed  atomic.Int64 // items no worker has claimed yet
-	unfinished atomic.Int64 // items not yet run or skipped; 0 closes done
-	attempted  atomic.Int64
-	steals     atomic.Int64
-
-	errs    []error
-	firstMu sync.Mutex
-	first   *ItemError
-
-	done chan struct{} // closed when every item is finished
+	next      atomic.Int64 // the next unclaimed index; ≥ len(errs) when none is left
+	attempted atomic.Int64
+	errs      []error
+	first     atomic.Pointer[ItemError]
 }
 
-func newJob(ctx context.Context, n, cells int, opts Options, fn Func) *job {
+// Run executes fn for every i in [0, n) with up to opts.Workers-way
+// concurrency and blocks until all items finish. The calling goroutine is
+// worker zero: a sequential job (Workers ≤ 1, or n ≤ 1) spawns no goroutines
+// at all, and a parallel one spawns Workers−1.
+//
+// Cancellation and failure follow one rule: the first item error observed
+// cancels the job's context (derived from ctx), items claimed afterwards are
+// skipped without running, and items already in flight see the cancellation
+// through their context. Run never returns early — even a cancelled job
+// drains before Result comes back, so fn is never running after Run returns.
+func Run(ctx context.Context, n int, opts Options, fn Func) Result {
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = max(min(workers, n), 1)
 	jctx, cancel := context.WithCancel(ctx)
-	if cells > n {
-		cells = n
-	}
-	if cells < 1 {
-		cells = 1
-	}
-	j := &job{
-		ctx:    jctx,
-		cancel: cancel,
-		fn:     fn,
-		wrap:   opts.WrapPanic,
-		cells:  make([]cell, cells),
-		errs:   make([]error, n),
-		done:   make(chan struct{}),
-	}
-	// Initial split: n items over `cells` contiguous ranges, remainder spread
-	// one-per-cell from the front, so cell boundaries are a pure function of
-	// (n, cells).
-	base, rem := n/cells, n%cells
-	start := 0
-	for c := range j.cells {
-		size := base
-		if c < rem {
-			size++
-		}
-		j.cells[c].next, j.cells[c].end = start, start+size
-		start += size
-	}
-	j.unclaimed.Store(int64(n))
-	j.unfinished.Store(int64(n))
+	defer cancel()
+	j := &job{ctx: jctx, cancel: cancel, fn: fn, wrap: opts.WrapPanic, errs: make([]error, n)}
 	mQueued.Add(float64(n))
-	if n == 0 {
-		close(j.done)
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			j.work()
+		}()
 	}
-	return j
+	j.work()
+	wg.Wait()
+	return Result{Errs: j.errs, First: j.first.Load(), Attempted: int(j.attempted.Load()), Spawned: workers - 1}
 }
 
-// claim hands out one item index, preferring the worker's own cell and
-// stealing otherwise. ok=false means the job has no unclaimed items left —
-// for this worker or anyone else.
-func (j *job) claim(pref int) (int, bool) {
-	ownIdx := pref % len(j.cells)
-	own := &j.cells[ownIdx]
-	own.mu.Lock()
-	if own.next < own.end {
-		i := own.next
-		own.next++
-		own.mu.Unlock()
-		j.claimed()
-		return i, true
-	}
-	own.mu.Unlock()
-
-	// Steal: find the victim with the most unclaimed work. Sizes are read
-	// under each cell's lock but the choice races benignly — any nonempty
-	// victim keeps the worker busy.
+// work claims items off the shared cursor until none is left. Items claimed
+// after cancellation are skipped, which is how a cancelled job still drains
+// promptly.
+func (j *job) work() {
 	for {
-		victim, most := -1, 0
-		for c := range j.cells {
-			cl := &j.cells[c]
-			cl.mu.Lock()
-			if size := cl.end - cl.next; size > most {
-				victim, most = c, size
-			}
-			cl.mu.Unlock()
+		i := int(j.next.Add(1) - 1)
+		if i >= len(j.errs) {
+			return
 		}
-		if victim < 0 {
-			return 0, false
+		mQueued.Add(-1)
+		if j.ctx.Err() != nil {
+			continue
 		}
-		v := &j.cells[victim]
-		// Lock victim and own together — in cell-index order, so two workers
-		// stealing from each other's cells cannot deadlock — because moving
-		// the stolen remainder into the own cell must re-check that the own
-		// cell is still empty (pool workers can share a preferred cell).
-		lo, hi := v, own
-		if victim > ownIdx {
-			lo, hi = own, v
-		}
-		lo.mu.Lock()
-		if hi != lo {
-			hi.mu.Lock()
-		}
-		size := v.end - v.next
-		var i int
-		switch {
-		case size == 0:
-			if hi != lo {
-				hi.mu.Unlock()
-			}
-			lo.mu.Unlock()
-			continue // lost the race, rescan
-		case size == 1 || v == own || own.next < own.end:
-			i = v.next
-			v.next++
-		default:
-			// Take the upper half of the victim's range: run its first item
-			// now, park the rest in our own (empty) cell for future pops.
-			mid := v.next + size/2
-			i = mid
-			own.next, own.end = mid+1, v.end
-			v.end = mid
-		}
-		if hi != lo {
-			hi.mu.Unlock()
-		}
-		lo.mu.Unlock()
-		j.steals.Add(1)
-		mSteals.Add(1)
-		j.claimed()
-		return i, true
-	}
-}
-
-func (j *job) claimed() {
-	j.unclaimed.Add(-1)
-	mQueued.Add(-1)
-}
-
-// runItem executes one claimed item behind the panic boundary and settles the
-// completion latch. Items claimed after cancellation are skipped, which is
-// how a cancelled job still drains to completion promptly.
-func (j *job) runItem(i int) {
-	if j.ctx.Err() == nil {
 		j.attempted.Add(1)
 		mItems.Add(1)
 		mBusy.Add(1)
@@ -260,14 +156,10 @@ func (j *job) runItem(i int) {
 		mBusy.Add(-1)
 		if err != nil {
 			j.errs[i] = err
-			j.fail(i, err)
+			if j.first.CompareAndSwap(nil, &ItemError{Index: i, Err: err}) {
+				j.cancel() // first failure stops everything still unclaimed
+			}
 		}
-	}
-	// unfinished only ever decreases, one decrement per item, so exactly one
-	// goroutine observes zero — after all n items have run or been skipped —
-	// and done closes exactly once, never while an item is still in flight.
-	if j.unfinished.Add(-1) == 0 {
-		close(j.done)
 	}
 }
 
@@ -288,226 +180,4 @@ func (j *job) protected(i int) (err error) {
 		return ferr
 	}
 	return j.fn(j.ctx, i)
-}
-
-func (j *job) fail(i int, err error) {
-	j.firstMu.Lock()
-	if j.first == nil {
-		j.first = &ItemError{Index: i, Err: err}
-		j.cancel() // first failure stops everything still unclaimed
-	}
-	j.firstMu.Unlock()
-}
-
-// work claims and runs items until the job has none left to claim, or until
-// retire (when non-nil) reports the worker should stop between items. Unclaimed
-// items left behind by a retiring worker stay in the cells for other workers.
-func (j *job) work(pref int, retire func() bool) {
-	for {
-		if retire != nil && retire() {
-			return
-		}
-		i, ok := j.claim(pref)
-		if !ok {
-			return
-		}
-		j.runItem(i)
-	}
-}
-
-func (j *job) result(spawned int) Result {
-	return Result{
-		Errs:      j.errs,
-		First:     j.first,
-		Attempted: int(j.attempted.Load()),
-		Steals:    j.steals.Load(),
-		Spawned:   spawned,
-	}
-}
-
-// Run executes fn for every i in [0, n) with up to opts.Workers-way
-// concurrency and blocks until all items finish. The calling goroutine is
-// worker zero: a sequential job (Workers ≤ 1, or n ≤ 1) spawns no goroutines
-// at all, and a parallel one spawns Workers−1.
-//
-// Cancellation and failure follow one rule: the first item error observed
-// cancels the job's context (derived from ctx), items claimed afterwards are
-// skipped without running, and items already in flight see the cancellation
-// through their context. Run never returns early — even a cancelled job
-// drains before Result comes back, so fn is never running after Run returns.
-func Run(ctx context.Context, n int, opts Options, fn Func) Result {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	j := newJob(ctx, n, workers, opts, fn)
-	defer j.cancel()
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			j.work(w, nil)
-		}(w)
-	}
-	j.work(0, nil)
-	wg.Wait()
-	if n > 0 {
-		<-j.done
-	}
-	return j.result(workers - 1)
-}
-
-// Pool is a persistent worker pool for callers that run many jobs and want
-// goroutine reuse plus live resizing. Jobs submitted with ForEach share the
-// pool's workers; ranges live in the job, so Resize — even to fewer workers
-// than there are jobs in flight — strands no items.
-type Pool struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	jobs   []*job
-	target int // desired worker count
-	live   int // workers currently running (slots 0..live-1)
-	closed bool
-}
-
-// NewPool starts a pool with the given number of workers (≤ 0 means
-// GOMAXPROCS). Close it when done.
-func NewPool(workers int) *Pool {
-	p := &Pool{}
-	p.cond = sync.NewCond(&p.mu)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	p.Resize(workers)
-	return p
-}
-
-// Workers returns the current target worker count.
-func (p *Pool) Workers() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.target
-}
-
-// Resize sets the worker count to n (clamped to ≥ 1), spawning or retiring
-// workers as needed. Retiring is graceful: a worker finishes the item it is
-// running, then exits. Safe to call concurrently with ForEach.
-func (p *Pool) Resize(n int) {
-	if n < 1 {
-		n = 1
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return
-	}
-	p.target = n
-	for p.live < p.target {
-		slot := p.live
-		p.live++
-		go p.worker(slot)
-	}
-	p.cond.Broadcast() // surplus workers notice target < slot and exit
-}
-
-// Close retires every worker and rejects future jobs. In-flight ForEach
-// calls complete first — Close waits for their jobs to drain before pulling
-// workers, then blocks until all workers have exited.
-func (p *Pool) Close() {
-	p.mu.Lock()
-	p.closed = true
-	for len(p.jobs) > 0 {
-		p.cond.Wait()
-	}
-	p.target = 0
-	p.cond.Broadcast()
-	for p.live > 0 {
-		p.cond.Wait()
-	}
-	p.mu.Unlock()
-}
-
-// worker is one pool goroutine occupying a slot. Slots retire from the top
-// (slot ≥ target exits first), so live slots always form a prefix and a later
-// grow re-fills exactly the retired slots.
-func (p *Pool) worker(slot int) {
-	p.mu.Lock()
-	for {
-		if slot >= p.target {
-			p.live--
-			p.cond.Broadcast() // Close waits on live reaching zero
-			p.mu.Unlock()
-			return
-		}
-		var j *job
-		for _, cand := range p.jobs {
-			if cand.unclaimed.Load() > 0 {
-				j = cand
-				break
-			}
-		}
-		if j == nil {
-			p.cond.Wait()
-			continue
-		}
-		p.mu.Unlock()
-		// Retire between items, not at the job boundary: a shrink takes
-		// effect as soon as the worker finishes the item it is running.
-		j.work(slot, func() bool {
-			p.mu.Lock()
-			retired := slot >= p.target
-			p.mu.Unlock()
-			return retired
-		})
-		p.mu.Lock()
-	}
-}
-
-// ForEach runs fn for every i in [0, n) on the pool's workers and blocks
-// until the job completes. Error and cancellation semantics match Run. Many
-// goroutines may call ForEach concurrently; their jobs interleave over the
-// same workers in submission order (workers drain earlier jobs' claims
-// first). A closed pool runs the job on the calling goroutine — callers
-// never lose items to shutdown.
-func (p *Pool) ForEach(ctx context.Context, n int, opts Options, fn Func) Result {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		opts.Workers = 1
-		return Run(ctx, n, opts, fn)
-	}
-	// Create and enqueue the job without dropping the lock: a racing Close
-	// either wins the closed check above or sees the enqueued job and waits
-	// for it to drain — there is no window where an enqueued job is left with
-	// no workers to run it.
-	j := newJob(ctx, n, p.target, opts, fn)
-	if n == 0 {
-		p.mu.Unlock()
-		j.cancel()
-		return j.result(0)
-	}
-	p.jobs = append(p.jobs, j)
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	defer j.cancel()
-
-	<-j.done
-
-	p.mu.Lock()
-	for k, cand := range p.jobs {
-		if cand == j {
-			p.jobs = append(p.jobs[:k], p.jobs[k+1:]...)
-			break
-		}
-	}
-	p.cond.Broadcast() // Close may be waiting for the job list to empty
-	p.mu.Unlock()
-	return j.result(0)
 }

@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -164,33 +161,34 @@ func TestRunWrapPanicHook(t *testing.T) {
 	}
 }
 
-func TestRunSkewedWorkSteals(t *testing.T) {
-	// One huge item at the front of worker 0's range, many cheap ones behind
-	// it: the other workers must steal worker 0's leftovers or the job would
-	// serialize. Steal counting proves the mechanism engages.
+// TestRunSlowItemHoldsNoOtherBack is the skewed job: item 0 waits until
+// every other item has run, so the job finishes only if the workers not held
+// by item 0 take all 4,095 items behind it. The wait is bounded so a
+// regression fails fast instead of hanging.
+func TestRunSlowItemHoldsNoOtherBack(t *testing.T) {
 	const n = 4096
-	var slow sync.WaitGroup
-	slow.Add(1)
-	done := make(chan struct{})
-	go func() { defer close(done); slow.Wait() }()
-	res := Run(context.Background(), n, Options{Workers: 4}, func(ctx context.Context, i int) error {
-		if i == 0 {
-			defer slow.Done()
-			// Hold until someone else has stolen (bounded so a regression
-			// fails fast instead of hanging).
+	for _, workers := range []int{2, 4} {
+		var ran atomic.Int32
+		res := Run(context.Background(), n, Options{Workers: workers}, func(ctx context.Context, i int) error {
+			if i != 0 {
+				ran.Add(1)
+				return nil
+			}
 			deadline := time.Now().Add(2 * time.Second)
-			for mSteals.Value() == 0 && time.Now().Before(deadline) {
+			for ran.Load() < n-1 {
+				if time.Now().After(deadline) {
+					return fmt.Errorf("%d of %d items ran while item 0 waited 2s", ran.Load(), n-1)
+				}
 				time.Sleep(50 * time.Microsecond)
 			}
+			return nil
+		})
+		if res.First != nil {
+			t.Fatalf("workers=%d: %v", workers, res.First)
 		}
-		return nil
-	})
-	<-done
-	if res.Attempted != n {
-		t.Fatalf("attempted %d of %d", res.Attempted, n)
-	}
-	if res.Steals == 0 {
-		t.Fatal("skewed job recorded no steals")
+		if res.Attempted != n {
+			t.Fatalf("workers=%d: attempted %d of %d", workers, res.Attempted, n)
+		}
 	}
 }
 
@@ -201,263 +199,6 @@ func TestRunFaultSiteInjectsErrors(t *testing.T) {
 	if res.First == nil || !errors.Is(res.First, fault.ErrInjected) {
 		t.Fatalf("First = %v, want injected error", res.First)
 	}
-}
-
-func TestPoolForEachBasics(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	for trial := 0; trial < 10; trial++ {
-		n := trial * 17
-		ran := make([]atomic.Int32, n)
-		res := p.ForEach(context.Background(), n, Options{}, markOnce(t, ran))
-		if res.Attempted != n || res.First != nil {
-			t.Fatalf("trial %d: %+v", trial, res)
-		}
-		for i := range ran {
-			if ran[i].Load() != 1 {
-				t.Fatalf("trial %d: item %d ran %d times", trial, i, ran[i].Load())
-			}
-		}
-	}
-}
-
-func TestPoolConcurrentJobs(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			n := 50 + g*13
-			ran := make([]atomic.Int32, n)
-			res := p.ForEach(context.Background(), n, Options{}, markOnce(t, ran))
-			if res.Attempted != n {
-				t.Errorf("job %d: attempted %d of %d", g, res.Attempted, n)
-			}
-			for i := range ran {
-				if ran[i].Load() != 1 {
-					t.Errorf("job %d: item %d ran %d times", g, i, ran[i].Load())
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-}
-
-// TestPoolResizeStorm is the scheduler stress test of ISSUE 5: eight
-// goroutines hammer ForEach while another thrashes Resize across [1, 8] and
-// a fault injector panics inside par.worker. Every item must still be
-// attributed exactly once — run, or failed with an attributed error — and
-// every panic must surface as an *ItemError-compatible entry, never a crash.
-func TestPoolResizeStorm(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-
-	inj := fault.New(42, fault.Rule{Site: "par.worker", Every: 97, Kind: fault.KindPanic, Msg: "storm"})
-	ctx := fault.WithInjector(context.Background(), inj)
-
-	stop := make(chan struct{})
-	var resizer sync.WaitGroup
-	resizer.Add(1)
-	go func() {
-		defer resizer.Done()
-		rng := rand.New(rand.NewSource(7))
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				p.Resize(1 + rng.Intn(8))
-				time.Sleep(200 * time.Microsecond)
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for round := 0; round < 20; round++ {
-				n := 30 + rng.Intn(200)
-				ran := make([]atomic.Int32, n)
-				res := p.ForEach(ctx, n, Options{}, func(ctx context.Context, i int) error {
-					ran[i].Add(1)
-					return nil
-				})
-				// Exactly-once attribution: every index is in exactly one
-				// state — succeeded (fn ran once, no error), failed (error
-				// recorded; the injected panic fires before fn, so fn may
-				// not have run), or skipped by the cancellation (neither).
-				attempted, failed := 0, 0
-				for i := range ran {
-					runs := int(ran[i].Load())
-					if runs > 1 {
-						t.Errorf("job %d/%d: item %d ran %d times", g, round, i, runs)
-					}
-					errSet := res.Errs[i] != nil
-					if errSet {
-						failed++
-						var pe *PanicError
-						if !errors.As(res.Errs[i], &pe) {
-							t.Errorf("job %d/%d: item %d failed with %v, want panic", g, round, i, res.Errs[i])
-						}
-						if runs != 0 {
-							t.Errorf("job %d/%d: item %d both ran and failed at the fault site", g, round, i)
-						}
-					}
-					if runs == 1 || errSet {
-						attempted++
-					}
-				}
-				if attempted != res.Attempted {
-					t.Errorf("job %d/%d: attempted %d, result says %d", g, round, attempted, res.Attempted)
-				}
-				if res.First != nil && res.Errs[res.First.Index] == nil {
-					t.Errorf("job %d/%d: First points at index %d with nil error", g, round, res.First.Index)
-				}
-				if failed > 0 && res.First == nil {
-					t.Errorf("job %d/%d: %d failures but no First", g, round, failed)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(stop)
-	resizer.Wait()
-
-	if fires := inj.Fires("par.worker"); fires == 0 {
-		t.Fatal("storm never triggered the par.worker fault site")
-	}
-}
-
-// TestPoolForEachCompletionLatch hammers the done latch with tiny two-item
-// jobs — the regime where one worker finishes its item at the instant the
-// other claims the last one. A premature close would return control to the
-// submitter while fn is still in flight; a double close would panic.
-func TestPoolForEachCompletionLatch(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	p := NewPool(2)
-	defer p.Close()
-	for trial := 0; trial < 3000; trial++ {
-		var inFlight atomic.Int32
-		res := p.ForEach(context.Background(), 2, Options{}, func(ctx context.Context, i int) error {
-			inFlight.Add(1)
-			runtime.Gosched()
-			inFlight.Add(-1)
-			return nil
-		})
-		if got := inFlight.Load(); got != 0 {
-			t.Fatalf("trial %d: ForEach returned with %d items in flight", trial, got)
-		}
-		if res.Attempted != 2 {
-			t.Fatalf("trial %d: attempted %d of 2", trial, res.Attempted)
-		}
-	}
-}
-
-// TestPoolCloseForEachRace races Close against concurrent ForEach calls: each
-// job must either be rejected up front (and run on the caller) or be enqueued
-// where Close waits for it — never appended to a pool whose workers are all
-// gone, which would strand the submitter on the done latch forever.
-func TestPoolCloseForEachRace(t *testing.T) {
-	for trial := 0; trial < 200; trial++ {
-		p := NewPool(2)
-		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ran := make([]atomic.Int32, 8)
-				res := p.ForEach(context.Background(), 8, Options{}, markOnce(t, ran))
-				if res.Attempted != 8 || res.First != nil {
-					t.Errorf("trial %d: %+v", trial, res)
-				}
-			}()
-		}
-		runtime.Gosched()
-		p.Close()
-		wg.Wait()
-	}
-}
-
-// TestPoolShrinkTakesEffectMidJob pins the Resize contract: a retiring worker
-// finishes the item it is running and exits at the next item boundary, not at
-// the end of the whole job. All four workers park inside an item, the pool
-// shrinks to one, and every item run after the gate opens must then execute
-// with single-worker concurrency.
-func TestPoolShrinkTakesEffectMidJob(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	const n = 24
-	var started, after, peak atomic.Int32
-	gate := make(chan struct{})
-	resized := make(chan struct{})
-	done := make(chan Result, 1)
-	go func() {
-		done <- p.ForEach(context.Background(), n, Options{}, func(ctx context.Context, i int) error {
-			if started.Add(1) <= 4 {
-				<-gate
-				return nil
-			}
-			<-resized
-			c := after.Add(1)
-			defer after.Add(-1)
-			for {
-				if pk := peak.Load(); c <= pk || peak.CompareAndSwap(pk, c) {
-					break
-				}
-			}
-			time.Sleep(100 * time.Microsecond)
-			return nil
-		})
-	}()
-	// Wait until every worker is parked inside an item, then shrink.
-	for started.Load() < 4 {
-		time.Sleep(50 * time.Microsecond)
-	}
-	p.Resize(1)
-	close(resized)
-	close(gate)
-	res := <-done
-	if res.Attempted != n || res.First != nil {
-		t.Fatalf("job after shrink: %+v", res)
-	}
-	if got := peak.Load(); got != 1 {
-		t.Fatalf("post-shrink items ran %d-wide, want 1 (retirement deferred to job end?)", got)
-	}
-}
-
-func TestPoolResizeBounds(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	p.Resize(0) // clamps to 1
-	if got := p.Workers(); got != 1 {
-		t.Fatalf("Workers after Resize(0) = %d", got)
-	}
-	p.Resize(6)
-	if got := p.Workers(); got != 6 {
-		t.Fatalf("Workers after Resize(6) = %d", got)
-	}
-	res := p.ForEach(context.Background(), 100, Options{},
-		func(ctx context.Context, i int) error { return nil })
-	if res.Attempted != 100 {
-		t.Fatalf("attempted %d", res.Attempted)
-	}
-}
-
-func TestPoolClosedFallsBackToCaller(t *testing.T) {
-	p := NewPool(2)
-	p.Close()
-	ran := make([]atomic.Int32, 10)
-	res := p.ForEach(context.Background(), 10, Options{}, markOnce(t, ran))
-	if res.Attempted != 10 {
-		t.Fatalf("closed-pool fallback attempted %d", res.Attempted)
-	}
-	// Close is idempotent.
-	p.Close()
 }
 
 func TestItemErrorUnwrap(t *testing.T) {
