@@ -20,15 +20,14 @@
 // so no reweighting of a strict subset of distinct queries reproduces f at
 // every v. Concretely, with p = {a} ⊂ q = {a,b}, folding q into p scores
 // v = {a} as 2 where the true objective is 1. Compact therefore folds only
-// duplicates, and merely *reports* subsumption structure in its Stats so
-// operators can see how much a lossy summarizer would have claimed.
+// duplicates, in one pass over the log.
 package compact
 
 import (
 	"standout/internal/dataset"
 )
 
-// Stats describes one compaction run.
+// Stats counts what one compaction run folded.
 type Stats struct {
 	// InputQueries and OutputQueries are the entry counts before and after;
 	// InputWeight == OutputWeight always (compaction preserves total weight).
@@ -39,16 +38,6 @@ type Stats struct {
 	// DuplicatesFolded counts input entries absorbed into an earlier entry's
 	// weight: InputQueries − OutputQueries.
 	DuplicatesFolded int `json:"duplicates_folded"`
-	// SubsumedQueries counts distinct output queries strictly containing
-	// another distinct output query (q ⊃ p for some p in the log). These are
-	// detected and reported but NOT folded — folding them would change
-	// solver answers (see the package comment for the impossibility
-	// argument).
-	SubsumedQueries int `json:"subsumed_queries"`
-	// MaxChainLength is the length of the longest subsumption chain
-	// q_1 ⊂ q_2 ⊂ … ⊂ q_k among distinct output queries (1 when no
-	// subsumption exists, 0 on an empty log).
-	MaxChainLength int `json:"max_chain_length"`
 }
 
 // Ratio returns OutputQueries/InputQueries, the size of the compacted log
@@ -63,8 +52,10 @@ func (s Stats) Ratio() float64 {
 // Compact returns a weighted query log equivalent to log for every SOC-CB-QL
 // objective evaluation: exact duplicates are folded into the first
 // occurrence's weight (existing weights summed), order of first occurrences
-// preserved. The result is a fresh log; the input is not modified. Stats
-// reports what folded and how much subsumption structure remains.
+// preserved. It runs in O(S) time on a log of S entries. The input is not
+// modified. The result's entry slices are its own, but each of its query
+// vectors shares word storage with that query's first occurrence in log, so
+// editing a vector of either log in place changes both.
 func Compact(log *dataset.QueryLog) (*dataset.QueryLog, Stats) {
 	out, weights := log.Dedup()
 	allUnit := true
@@ -84,71 +75,5 @@ func Compact(log *dataset.QueryLog) (*dataset.QueryLog, Stats) {
 		OutputWeight:  out.TotalWeight(),
 	}
 	st.DuplicatesFolded = st.InputQueries - st.OutputQueries
-	st.SubsumedQueries, st.MaxChainLength = subsumptionStats(out)
 	return out, st
-}
-
-// subsumptionStats computes, over the distinct queries of a deduplicated
-// log, how many strictly contain another and the longest chain under strict
-// containment. Chains are a longest-path computation over the containment
-// DAG, evaluated by increasing popcount so every predecessor is finished
-// first. Quadratic in the number of distinct queries; callers compact once
-// per log generation, not per solve.
-func subsumptionStats(log *dataset.QueryLog) (subsumed, maxChain int) {
-	n := log.Size()
-	if n == 0 {
-		return 0, 0
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	counts := make([]int, n)
-	for i, q := range log.Queries {
-		counts[i] = q.Count()
-	}
-	// Insertion-free counting sort by popcount keeps this O(n log n)-ish.
-	sortByCount(order, counts)
-	chain := make([]int, n) // chain[i]: longest strict chain ending at query i
-	maxChain = 1
-	for oi, i := range order {
-		chain[i] = 1
-		qi := log.Queries[i]
-		for _, j := range order[:oi] {
-			if counts[j] >= counts[i] {
-				continue // equal popcount can't be a strict subset
-			}
-			if log.Queries[j].SubsetOf(qi) {
-				if chain[j]+1 > chain[i] {
-					chain[i] = chain[j] + 1
-				}
-			}
-		}
-		if chain[i] > 1 {
-			subsumed++
-			if chain[i] > maxChain {
-				maxChain = chain[i]
-			}
-		}
-	}
-	return subsumed, maxChain
-}
-
-// sortByCount stably sorts order by counts ascending.
-func sortByCount(order, counts []int) {
-	// Simple stable insertion-style sort via counting buckets.
-	maxC := 0
-	for _, c := range counts {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	buckets := make([][]int, maxC+1)
-	for _, i := range order {
-		buckets[counts[i]] = append(buckets[counts[i]], i)
-	}
-	order = order[:0]
-	for _, b := range buckets {
-		order = append(order, b...)
-	}
 }

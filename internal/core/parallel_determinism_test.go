@@ -74,7 +74,8 @@ func TestParallelDeterminismSweep(t *testing.T) {
 
 // skewedBatch builds the adversarial load-balance shape: one huge tuple
 // (every attribute set, the costliest to solve) buried among tiny ones, so a
-// static split would pin all the work on one worker and stealing is forced.
+// static split would pin all the work on one worker, while the shared cursor
+// hands the tiny tuples to whichever workers are free.
 func skewedBatch(r *rand.Rand) (*dataset.QueryLog, []bitvec.Vector, int) {
 	width := 12
 	schema := dataset.GenericSchema(width)

@@ -8,7 +8,9 @@ package httpx
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"time"
@@ -227,9 +229,16 @@ func Allow(w http.ResponseWriter, r *http.Request, method string) bool {
 }
 
 // Decode reads a JSON request body of at most limit bytes into v, answering
-// 400 when it cannot.
+// 400 when it cannot or when anything but white space follows the value.
 func Decode(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	err := dec.Decode(v)
+	if err == nil {
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = errors.New("data after the JSON value")
+		}
+	}
+	if err != nil {
 		WriteError(r.Context(), w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return false
 	}
