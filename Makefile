@@ -22,13 +22,15 @@ test:
 # The solver core is the concurrency-heavy part (SolveBatchContext, the
 # shared PreparedLog index + solution memo, the LRU); race-test it on every
 # check, together with the bitvec layer whose compressed sets the index
-# shares read-only across workers, the obsv layer whose lock-free flight
-# ring is written by every request, the httpx plumbing (admission gate,
-# tracing middleware) both servers share, and socserve's process wiring
-# (listener drain, sharded end to end). `go test -race ./...` also works
-# but takes much longer on the bench package.
+# shares read-only across workers, the dataset layer whose log generations
+# share one store (the newest appends into it while readers hold older
+# ones), the obsv layer whose lock-free flight ring is written by every
+# request, the httpx plumbing (admission gate, tracing middleware) both
+# servers share, and socserve's process wiring (listener drain, sharded end
+# to end). `go test -race ./...` also works but takes much longer on the
+# bench package.
 test-race:
-	go test -race ./internal/bitvec/... ./internal/compact/... ./internal/core/... ./internal/cache/... ./internal/estimate/... ./internal/index/... ./internal/ilp/... ./internal/itemsets/... ./internal/par/... ./internal/serve/... ./internal/shard/... ./internal/httpx/... ./internal/fault/... ./internal/obsv/... ./cmd/socserve/...
+	go test -race ./internal/bitvec/... ./internal/compact/... ./internal/dataset/... ./internal/core/... ./internal/cache/... ./internal/estimate/... ./internal/index/... ./internal/ilp/... ./internal/itemsets/... ./internal/par/... ./internal/serve/... ./internal/shard/... ./internal/httpx/... ./internal/fault/... ./internal/obsv/... ./cmd/socserve/...
 
 # 30 seconds of fault-injected chaos storms against the serving layer under
 # the race detector: injected panics, delays, forced staleness, live log
@@ -130,6 +132,7 @@ FUZZ_SMOKE := \
 	FuzzExtendMatchesBuild:internal/estimate:8 \
 	FuzzReadTableCSV:internal/dataset:4 \
 	FuzzParseTuple:internal/dataset:4 \
+	FuzzLineage:internal/dataset:8 \
 	FuzzScoreHandler:internal/httpx:6 \
 	FuzzSolveHandler:internal/httpx:6 \
 	FuzzSolveBatchHandler:internal/httpx:6 \

@@ -67,20 +67,25 @@ func FromBools(b []bool) Vector {
 // so FromString(v.String()) round-trips. Whitespace is ignored. It returns
 // an error on any other rune.
 func FromString(s string) (Vector, error) {
-	var cleaned []rune
+	width := 0
 	for _, r := range s {
 		switch r {
 		case '0', '1':
-			cleaned = append(cleaned, r)
+			width++
 		case ' ', '\t', '\n', '\r':
 		default:
 			return Vector{}, fmt.Errorf("bitvec: invalid rune %q in %q", r, s)
 		}
 	}
-	v := New(len(cleaned))
-	for i, r := range cleaned {
-		if r == '1' {
+	v := New(width)
+	i := 0
+	for _, r := range s {
+		switch r {
+		case '1':
 			v.Set(i)
+			fallthrough
+		case '0':
+			i++
 		}
 	}
 	return v, nil
@@ -334,13 +339,19 @@ func (v Vector) String() string {
 // keys, and Compressed.Key reproduces the identical encoding so keys are
 // representation-independent.
 func (v Vector) Key() string {
-	buf := make([]byte, 0, 8*len(v.words)+4)
-	buf = append(buf,
+	return string(v.AppendKey(make([]byte, 0, 8*len(v.words)+4)))
+}
+
+// AppendKey appends v's Key encoding to dst and returns the extended
+// buffer, so a caller can build keys in one reused buffer and look them up
+// with m[string(buf)], which does not allocate.
+func (v Vector) AppendKey(dst []byte) []byte {
+	dst = append(dst,
 		byte(v.width), byte(v.width>>8), byte(v.width>>16), byte(v.width>>24))
 	for _, w := range v.words {
 		for s := 0; s < 64; s += 8 {
-			buf = append(buf, byte(w>>uint(s)))
+			dst = append(dst, byte(w>>uint(s)))
 		}
 	}
-	return string(buf)
+	return dst
 }

@@ -11,7 +11,9 @@ package dataset
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"standout/internal/bitvec"
@@ -221,6 +223,19 @@ func (t *Table) DominatedBy(v bitvec.Vector) []int {
 // compaction produces (internal/compact): folding duplicate queries into one
 // weighted entry leaves every solver's objective value unchanged, because a
 // satisfied count is just a weighted sum with unit weights.
+//
+// Generations. Extend makes a new generation of a log for appending while
+// readers keep the old one, and the generations of a log share one
+// append-only store: each generation's Queries and Weights are a prefix of
+// the store's arrays, sliced to cap == len so that a direct append to either
+// reallocates instead of overwriting a sibling's entries. Only a generation
+// as long as its store (the newest) appends in place; an Append to any other
+// generation first copies its entries into a new store, once. A log that
+// Extend did not make is a root: it owns its slices, appends to them like
+// any slice and belongs to no store, so its first Extend copies it. The root
+// and every store copied from it form one lineage, and ExtendsFrom proves
+// from their identities, lengths and versions that two generations agree on
+// a prefix, without keeping older generations reachable.
 type QueryLog struct {
 	Schema  *Schema
 	Queries []bitvec.Vector
@@ -230,13 +245,15 @@ type QueryLog struct {
 	// being strictly monotone in set containment.
 	Weights []int
 
-	// version counts mutations made through Append and Touch. Callers that
-	// mutate Queries directly (appending to the slice, or flipping bits of a
-	// query in place) must call Touch afterwards so index and cache layers
-	// built over the log can notice the change. It is atomic so that Touch —
-	// the announcement that a mutation happened — can race with concurrent
-	// Version reads from staleness checks without tripping the race detector;
-	// mutating Queries itself still requires external synchronization.
+	// version counts this log's own Appends, plus its Touches while it has
+	// no lineage; Version adds the lineage's Touches. Callers that mutate
+	// Queries directly (appending to the slice, or flipping bits of a query
+	// in place) must call Touch afterwards so index and cache layers built
+	// over the log can notice the change. It is atomic so that Touch — the
+	// announcement that a mutation happened — can race with concurrent
+	// Version reads from staleness checks without tripping the race
+	// detector; mutating Queries itself still requires external
+	// synchronization.
 	//
 	// Append adds 1 per appended query while Touch adds 2, so a derived
 	// structure that recorded (version, size) can certify an append-only
@@ -244,14 +261,45 @@ type QueryLog struct {
 	// exactly the size delta. Any Touch breaks the equality and forces the
 	// full-rebuild path.
 	version atomic.Uint64
+	// lin is set when Extend makes a generation, and on a root's first
+	// Extend.
+	lin atomic.Pointer[lineage]
+	// st is the store this generation is a prefix of; nil for a root.
+	st *store
+}
 
-	// Extend lineage: a log built by Extend records its parent and the
-	// parent's (version, size) at copy time, so index layers can prove that
-	// this log's prefix equals a previously prepared generation and build a
-	// delta over only the appended suffix (see ExtendsFrom).
-	parent        *QueryLog
-	parentVersion uint64
-	parentSize    int
+// lineage is shared by a root log and every store copied from it. Any
+// generation's Touch may have edited a prefix that others share or copied,
+// so touches moves the Version of every member and voids every store's
+// provenance.
+type lineage struct {
+	touches atomic.Uint64
+	stores  atomic.Uint64 // numbers the stores from 1; the root is 0
+}
+
+// store is one append-only pair of backing arrays. Its first n entries are
+// committed: appends never rewrite them, and only an edit that a Touch
+// announces changes them.
+type store struct {
+	lin     *lineage
+	id      uint64
+	queries []bitvec.Vector // full capacity
+	weights []int           // nil while every entry weighs 1, else parallel to queries
+	// from lists the stores (or root) whose prefixes this store's first
+	// entries copy, transitively. It is evidence only while lin.touches
+	// still equals epoch, its value before the copy.
+	from  []span
+	epoch uint64
+
+	mu sync.Mutex
+	n  int // committed entries
+}
+
+// span names the first n entries of a store, or of the root (id 0), of a
+// lineage.
+type span struct {
+	id uint64
+	n  int
 }
 
 // NewQueryLog returns an empty query log over the schema.
@@ -264,7 +312,9 @@ func (q *QueryLog) Append(query bitvec.Vector) error {
 
 // AppendWeighted adds a query with multiplicity weight ≥ 1. Appending a
 // non-unit weight to a log with nil Weights materializes the slice with unit
-// entries for the existing queries.
+// entries for the existing queries. A generation that is not its store's
+// newest, or whose store is full, first moves to a new store holding a copy
+// of its entries.
 func (q *QueryLog) AppendWeighted(query bitvec.Vector, weight int) error {
 	if query.Width() != q.Schema.Width() {
 		return fmt.Errorf("dataset: query width %d does not match schema width %d",
@@ -273,18 +323,134 @@ func (q *QueryLog) AppendWeighted(query bitvec.Vector, weight int) error {
 	if weight < 1 {
 		return fmt.Errorf("dataset: query weight %d is not ≥ 1", weight)
 	}
-	if q.Weights == nil && weight != 1 {
-		q.Weights = make([]int, len(q.Queries), len(q.Queries)+1)
-		for i := range q.Weights {
-			q.Weights[i] = 1
+	switch {
+	case q.st == nil:
+		if q.Weights == nil && weight != 1 {
+			q.Weights = make([]int, len(q.Queries), len(q.Queries)+1)
+			for i := range q.Weights {
+				q.Weights[i] = 1
+			}
 		}
-	}
-	q.Queries = append(q.Queries, query)
-	if q.Weights != nil {
-		q.Weights = append(q.Weights, weight)
+		q.Queries = append(q.Queries, query)
+		if q.Weights != nil {
+			q.Weights = append(q.Weights, weight)
+		}
+	case !q.appendInPlace(query, weight):
+		q.rehome(q, weight != 1)
+		q.appendInPlace(query, weight) // q is the new store's only generation
 	}
 	q.version.Add(1)
 	return nil
+}
+
+// appendInPlace appends one entry into q's store when q is its newest
+// generation and the store has room (and weights, for a non-unit weight).
+// The store lock decides between generations of equal length.
+func (q *QueryLog) appendInPlace(query bitvec.Vector, weight int) bool {
+	s, n := q.st, len(q.Queries)
+	if !q.attached() {
+		return false
+	}
+	s.mu.Lock()
+	ok := s.n == n && n < len(s.queries) && (weight == 1 || s.weights != nil)
+	if ok {
+		s.queries[n] = query
+		if s.weights != nil {
+			s.weights[n] = weight
+		}
+		s.n++
+	}
+	s.mu.Unlock()
+	if ok {
+		q.view(s, n+1)
+	}
+	return ok
+}
+
+// rehome makes q the only generation of a new store in src's lineage that
+// holds a copy of src's entries and has room for more, with weights when src
+// has them or weighted is set.
+func (q *QueryLog) rehome(src *QueryLog, weighted bool) {
+	lin := src.lineage()
+	n := len(src.Queries)
+	// Read before the copy, so a Touch during it voids the spans.
+	s := &store{lin: lin, id: lin.stores.Add(1), epoch: lin.touches.Load(), n: n}
+	s.queries = slices.Grow(src.Queries[:n:n], 1)
+	s.queries = s.queries[:cap(s.queries)]
+	switch {
+	case src.Weights != nil:
+		s.weights = make([]int, len(s.queries))
+		copy(s.weights, src.Weights)
+	case weighted:
+		s.weights = make([]int, len(s.queries))
+		for i := range n {
+			s.weights[i] = 1
+		}
+	}
+	switch {
+	case src.st == nil:
+		s.from = []span{{0, n}}
+	case src.attached():
+		if src.st.epoch == s.epoch {
+			for _, sp := range src.st.from {
+				s.from = append(s.from, span{sp.id, min(sp.n, n)})
+			}
+		}
+		s.from = append(s.from, span{src.st.id, n})
+	default:
+		// A detached generation's entries are no store's: they prove nothing.
+	}
+	q.lin.Store(lin)
+	q.view(s, n)
+}
+
+// view points q at the first n entries of store s.
+func (q *QueryLog) view(s *store, n int) {
+	q.st = s
+	q.Queries = s.queries[:n:n]
+	q.Weights = nil
+	if s.weights != nil {
+		q.Weights = s.weights[:n:n]
+	}
+}
+
+// attached reports whether q's slices are still a prefix of its store's
+// arrays; assigning to Queries or Weights detaches a generation.
+func (q *QueryLog) attached() bool {
+	s, n := q.st, len(q.Queries)
+	if s == nil || cap(q.Queries) != n || (n > 0 && &q.Queries[0] != &s.queries[0]) {
+		return false
+	}
+	if s.weights == nil {
+		return q.Weights == nil
+	}
+	return len(q.Weights) == n && cap(q.Weights) == n && (n == 0 || &q.Weights[0] == &s.weights[0])
+}
+
+// lineage returns q's lineage, starting one with q as its root if q has
+// none yet.
+func (q *QueryLog) lineage() *lineage {
+	if lin := q.lin.Load(); lin != nil {
+		return lin
+	}
+	q.lin.CompareAndSwap(nil, new(lineage))
+	return q.lin.Load()
+}
+
+// spans lists prefixes that q's entries provably equal at lineage epoch
+// epoch: its own store's (or, for a root, its own), and, while no Touch has
+// happened since the store was filled, those the store copied.
+func (q *QueryLog) spans(epoch uint64) []span {
+	n := len(q.Queries)
+	switch {
+	case q.st == nil:
+		return []span{{0, n}}
+	case !q.attached():
+		return nil
+	case q.st.epoch != epoch:
+		return []span{{q.st.id, n}}
+	}
+	return append([]span{{q.st.id, n}}, q.st.from...)
 }
 
 // Weight returns the multiplicity of query i (1 when Weights is nil).
@@ -311,8 +477,16 @@ func (q *QueryLog) TotalWeight() int {
 // Version is a cheap mutation counter: it changes whenever the log is
 // modified through Append or Touch. Derived structures (indexes, caches)
 // record it at build time and compare to detect staleness without rehashing
-// the whole log. Direct mutation of Queries bypasses it — call Touch.
-func (q *QueryLog) Version() uint64 { return q.version.Load() }
+// the whole log. Direct mutation of Queries bypasses it — call Touch. An
+// Append to one generation leaves every other generation's Version alone; a
+// Touch of any generation moves all of its lineage's.
+func (q *QueryLog) Version() uint64 {
+	v := q.version.Load()
+	if lin := q.lin.Load(); lin != nil {
+		v += 2 * lin.touches.Load()
+	}
+	return v
+}
 
 // Touch records an out-of-band mutation of Queries, invalidating any index
 // or cache built over the previous contents. Touch and Version are safe to
@@ -320,69 +494,76 @@ func (q *QueryLog) Version() uint64 { return q.version.Load() }
 // mutation of Queries they announce is not. Touch advances the version by 2
 // where Append advances it by 1, so append-only growth is certifiable from
 // (version, size) deltas alone.
-func (q *QueryLog) Touch() { q.version.Add(2) }
+//
+// Generations share their stores, so an edit through one may show in
+// others, and a copy taken before it may not. Touch therefore makes every
+// generation of the lineage stale, the root included, and voids every
+// certificate ExtendsFrom could give over any of them.
+func (q *QueryLog) Touch() {
+	if lin := q.lin.Load(); lin != nil {
+		lin.touches.Add(1)
+		return
+	}
+	q.version.Add(2)
+}
 
-// Extend returns a new log over the same schema whose queries (and weights)
-// are a copy of q's, recording the lineage so derived structures can later
-// prove with ExtendsFrom that the new log's prefix is exactly q's current
-// contents. This is the copy-on-write append pattern of the serving layer:
-// in-flight readers keep the old generation, the new generation takes the
-// appends, and the index layer builds a delta over only the suffix.
+// Extend returns a new generation of q for appending: a log over the same
+// schema with q's entries and Version, in q's lineage, so derived
+// structures can later prove with ExtendsFrom that its prefix is exactly
+// q's current contents. This is the copy-on-write append pattern of the
+// serving layer: in-flight readers keep the old generation, the new
+// generation takes the appends, and the index layer builds a delta over
+// only the suffix. Extend of a generation copies nothing: the new one
+// shares q's store, and its first Append copies only if another generation
+// has appended to the store since, or the store is full. Extend of a root,
+// or of a generation whose slices were reassigned, copies q into a new
+// store.
 func (q *QueryLog) Extend() *QueryLog {
 	out := NewQueryLog(q.Schema)
-	out.Queries = append(make([]bitvec.Vector, 0, len(q.Queries)+1), q.Queries...)
-	if q.Weights != nil {
-		out.Weights = append(make([]int, 0, len(q.Weights)+1), q.Weights...)
+	out.version.Store(q.version.Load())
+	if q.attached() {
+		out.lin.Store(q.st.lin)
+		out.view(q.st, len(q.Queries))
+	} else {
+		out.rehome(q, false)
 	}
-	out.parent = q
-	out.parentVersion = q.Version()
-	out.parentSize = len(q.Queries)
 	return out
 }
 
 // ExtendsFrom reports whether q's first `size` queries are provably the
 // exact contents the ancestor log had at the given (version, size) snapshot
 // — the precondition for building a delta index over q[size:] on top of an
-// index built over that snapshot. The proof walks q's Extend lineage:
-// each link certifies a prefix copy taken at a recorded parent version, and
-// any version drift along the chain (a Touch, or an out-of-band mutation
-// announced by one) voids the certificate and returns false.
+// index built over that snapshot. The proof needs three facts: the
+// ancestor's version advanced by exactly its growth since the snapshot (no
+// Touch reached its lineage, and it grew only by Append); q and the ancestor
+// share a lineage; and both have their first `size` entries from one store
+// or root — by being a prefix of it, or by a copy taken since the last Touch
+// of the lineage. So it holds whenever q descends from the snapshot through
+// Extend and Append alone, across copies into new stores, and no generation
+// of the lineage was touched since.
 func (q *QueryLog) ExtendsFrom(ancestor *QueryLog, version uint64, size int) bool {
-	if ancestor == nil || size > len(q.Queries) {
+	if ancestor == nil || size < 0 || size > len(q.Queries) {
 		return false
 	}
-	for cur := q; cur != nil; {
-		if cur == ancestor {
-			// Same object: valid iff it has not mutated since the snapshot and
-			// has only grown by appends (version delta == size delta).
-			dv := cur.Version() - version
-			ds := len(cur.Queries) - size
-			return ds >= 0 && dv == uint64(ds)
+	grown := len(ancestor.Queries) - size
+	if grown < 0 || ancestor.Version()-version != uint64(grown) {
+		return false
+	}
+	if q == ancestor {
+		return true
+	}
+	lin := q.lin.Load()
+	if lin == nil || ancestor.lin.Load() != lin {
+		return false
+	}
+	epoch := lin.touches.Load()
+	theirs := ancestor.spans(epoch)
+	for _, a := range q.spans(epoch) {
+		for _, b := range theirs {
+			if a.id == b.id && a.n >= size && b.n >= size {
+				return true
+			}
 		}
-		if cur.parent == nil || cur.parentSize < size {
-			return false
-		}
-		// cur itself must have only grown by appends since its Extend-creation
-		// (version 0 at size parentSize): a Touch announcing an out-of-band
-		// mutation voids the certificate even on the chain's head.
-		if cur.Version() != uint64(len(cur.Queries)-cur.parentSize) {
-			return false
-		}
-		if cur.parent == ancestor {
-			// cur's prefix was copied from the ancestor at parentVersion; the
-			// copy is the snapshot's contents iff the ancestor had at that
-			// moment only grown by appends since the snapshot.
-			dv := cur.parentVersion - version
-			ds := cur.parentSize - size
-			return dv == uint64(ds)
-		}
-		// Intermediate hop: cur's prefix equals parent's contents at
-		// parentVersion; that equals parent's *current* contents only if the
-		// parent has not mutated since the copy.
-		if cur.parent.Version() != cur.parentVersion || len(cur.parent.Queries) != cur.parentSize {
-			return false
-		}
-		cur = cur.parent
 	}
 	return false
 }
@@ -571,13 +752,14 @@ func (q *QueryLog) Dedup() (*QueryLog, []int) {
 	seen := make(map[string]int)
 	out := NewQueryLog(q.Schema)
 	var weights []int
+	var key []byte
 	for qi, query := range q.Queries {
-		k := query.Key()
-		if idx, ok := seen[k]; ok {
+		key = query.AppendKey(key[:0])
+		if idx, ok := seen[string(key)]; ok {
 			weights[idx] += q.Weight(qi)
 			continue
 		}
-		seen[k] = len(out.Queries)
+		seen[string(key)] = len(out.Queries)
 		out.Queries = append(out.Queries, query)
 		weights = append(weights, q.Weight(qi))
 	}

@@ -121,6 +121,20 @@ func TestParseTuple(t *testing.T) {
 	}
 }
 
+// TestParseTupleAllocsOnce pins the bit-string parse at one allocation, the
+// vector's words: every /score candidate and POST /log query pays it.
+func TestParseTupleAllocsOnce(t *testing.T) {
+	s := GenericSchema(32)
+	spec := "10110010011100001111000010101010"
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := ParseTuple(s, spec); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 1 {
+		t.Fatalf("ParseTuple of a 32-bit string: %v allocations, want 1", got)
+	}
+}
+
 func TestParseTupleNameWidthAmbiguity(t *testing.T) {
 	// A schema with a 0/1-looking attribute name: bit-string interpretation
 	// wins only when the width matches.

@@ -716,29 +716,32 @@ func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
 				"weights length %d does not match append length %d", len(req.Weights), len(req.Append)))
 			return
 		}
-		// Copy-on-write via Extend: in-flight requests keep solving their
-		// snapshot; new requests see the new generation, whose recorded
-		// lineage lets the single-flight rebuild extend the previous index
-		// with a delta segment instead of re-indexing from scratch.
-		s.mu.Lock()
-		old := s.log
-		next := old.Extend()
+		// Parse and check the whole batch first, into a log of its own, so a
+		// rejected batch never reaches the shared store.
+		batch := dataset.NewQueryLog(s.CurrentLog().Schema)
 		for i, spec := range req.Append {
-			q, err := dataset.ParseTuple(old.Schema, spec)
+			q, err := dataset.ParseTuple(batch.Schema, spec)
+			if err == nil {
+				weight := 1
+				if req.Weights != nil {
+					weight = req.Weights[i]
+				}
+				err = batch.AppendWeighted(q, weight)
+			}
 			if err != nil {
-				s.mu.Unlock()
 				httpx.WriteError(r.Context(), w, http.StatusBadRequest, "bad query: "+err.Error())
 				return
 			}
-			weight := 1
-			if req.Weights != nil {
-				weight = req.Weights[i]
-			}
-			if err := next.AppendWeighted(q, weight); err != nil {
-				s.mu.Unlock()
-				httpx.WriteError(r.Context(), w, http.StatusBadRequest, "bad query: "+err.Error())
-				return
-			}
+		}
+		// Extend the current generation: in-flight requests keep solving
+		// theirs, new requests see the new one. It appends into the store
+		// the current one shares, copying nothing, and its lineage lets the
+		// single-flight rebuild extend the previous index with a delta
+		// segment instead of re-indexing from scratch.
+		s.mu.Lock()
+		next := s.log.Extend()
+		for i, q := range batch.Queries {
+			_ = next.AppendWeighted(q, batch.Weight(i)) // checked into batch above
 		}
 		s.log = next
 		s.mu.Unlock()

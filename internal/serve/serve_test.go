@@ -339,6 +339,45 @@ func TestLogAppendIsCopyOnWrite(t *testing.T) {
 	}
 }
 
+// TestLogRejectedAppendKeepsStore: a batch rejected on a bad query in its
+// middle leaves the log's store untouched, so the next good append still
+// extends the current generation in place, copying nothing, and a delta
+// prep serves it.
+func TestLogRejectedAppendKeepsStore(t *testing.T) {
+	srv, ts, _, tuples := newTestServer(t, nil)
+	post := func(want int, specs ...string) {
+		t.Helper()
+		if status, raw := postJSON(t, ts.URL+"/log", appendRequest{Append: specs}); status != want {
+			t.Fatalf("append %v: status %d, want %d, body %s", specs, status, want, raw)
+		}
+	}
+	solve := func() {
+		t.Helper()
+		if status, raw := postJSON(t, ts.URL+"/solve", solveRequest{Tuple: tuples[0].String(), M: 2}); status != http.StatusOK {
+			t.Fatalf("solve: status %d, body %s", status, raw)
+		}
+	}
+	post(http.StatusOK, tuples[1].String()) // the start-up log's first Extend copies it into a store
+	solve()
+	gen := srv.CurrentLog()
+	deltas := srv.met.prepDeltas.Value()
+
+	post(http.StatusBadRequest, tuples[2].String(), "no-such-attribute", tuples[3].String())
+	if srv.CurrentLog() != gen {
+		t.Fatal("a rejected batch replaced the current generation")
+	}
+	post(http.StatusOK, tuples[4].String())
+	next := srv.CurrentLog()
+	if next.Size() != gen.Size()+1 || &next.Queries[0] != &gen.Queries[0] {
+		t.Fatalf("the append after a rejected batch did not extend the store in place (size %d → %d)",
+			gen.Size(), next.Size())
+	}
+	solve()
+	if got := srv.met.prepDeltas.Value(); got <= deltas {
+		t.Fatalf("no delta prep after the rejected batch (delta builds %d → %d)", deltas, got)
+	}
+}
+
 func TestTouchForcesRebuild(t *testing.T) {
 	srv, ts, _, tuples := newTestServer(t, nil)
 	if status, raw := postJSON(t, ts.URL+"/solve", solveRequest{Tuple: tuples[0].String(), M: 2}); status != http.StatusOK {
