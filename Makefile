@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: check build test test-race soak soak-shard bench bench-bitmap bench-compact bench-shard bench-estimate vet fmt-check cover cover-gate experiments quick-experiments fuzz fuzz-smoke
+.PHONY: check build test test-race soak soak-shard bench bench-smoke bench-bitmap bench-compact bench-shard bench-estimate vet fmt-check cover cover-gate experiments quick-experiments fuzz fuzz-smoke
 
 # Default: everything CI would gate on.
 check: build vet fmt-check test test-race cover-gate
@@ -77,6 +77,12 @@ cover-gate:
 
 bench:
 	go test -bench=. -benchmem ./...
+
+# Every layer benchmark under internal/ runs once, so the benchmarks that
+# performance changes cite keep compiling and running (about 11 s on two
+# CPUs).
+bench-smoke:
+	go test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 # Regenerate BENCH_bitmap.json: the wide-sparse-schema sweep comparing dense
 # and compressed column representations on memory and scoring throughput.

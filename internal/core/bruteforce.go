@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sync"
 
 	"standout/internal/bitvec"
 	"standout/internal/obsv"
@@ -174,18 +173,14 @@ func (s BruteForce) enumerateSharded(ctx context.Context, n *normalized, width i
 	if workers > len(shards) {
 		workers = len(shards)
 	}
-	// Per-goroutine scoring scratch: normalized.score writes into shared
-	// buffers on the indexed path, so each concurrent shard scores through
-	// its own copy, pooled so a worker reuses one across its shards.
-	scratch := sync.Pool{New: func() any {
-		sc := n.shard()
-		return &sc
-	}}
+	// normalized.score writes into its kernel scratches on the indexed path,
+	// so each concurrent shard scores through its own, from the prep's free
+	// list.
 	res := par.Run(ctx, len(shards), par.Options{Workers: workers}, func(ctx context.Context, i int) error {
 		sh := &shards[i]
-		sc := scratch.Get().(*normalized)
-		defer scratch.Put(sc)
-		best, cands, err := enumerate(ctx, sc, width, ones, m, *sh)
+		sc := n.shard()
+		defer sc.release()
+		best, cands, err := enumerate(ctx, &sc, width, ones, m, *sh)
 		if err != nil {
 			return err
 		}

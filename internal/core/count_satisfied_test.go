@@ -2,7 +2,8 @@ package core_test
 
 // Benchmark and allocation pin of the subset counts a shard answers for a
 // /score request in "subset" mode: one brute batch scored through
-// core.CountSatisfied on the prepared compacted log. Run with
+// core.CountSatisfied on the prepared compacted log, and allocation pins of
+// the counting solvers' local path. Run with
 //
 //	go test -run '^$' -bench CountSatisfied -benchmem -cpu 1 ./internal/core
 
@@ -12,6 +13,8 @@ import (
 
 	"standout/internal/bitvec"
 	"standout/internal/core"
+	"standout/internal/dataset"
+	"standout/internal/gen"
 )
 
 // bruteCandidates returns the first n m-attribute compressions of tuple in
@@ -95,6 +98,46 @@ func TestCountSatisfiedAllocsFixed(t *testing.T) {
 			} else if allocs != base {
 				t.Errorf("m=%d: CountSatisfied of %d candidates allocates %.0f times, of one %.0f", m, n, allocs, base)
 			}
+		}
+	}
+}
+
+// TestCountingSolverAllocsPinned pins the warm allocations of one counting
+// solve with a prep attached, on solve-read's log and on the compacted log
+// (BenchmarkCountingSolvers' shapes). Such a solve allocates its candidate
+// sets, candidate vectors, counts and answer; it copies no query of the log
+// into a restricted log and takes its kernel scratches from the prep's free
+// list. The test fails when a count rises.
+func TestCountingSolverAllocsPinned(t *testing.T) {
+	readLog := gen.RealWorkload(gen.Cars(1000, 2000), 1001, 2000)
+	compacted, tuples := compactedWorkload()
+	for _, tc := range []struct {
+		name   string
+		log    *dataset.QueryLog
+		solver core.Solver
+		want   float64
+	}{
+		{"solve-read/greedy", readLog, core.ConsumeAttrCumul{}, 16},
+		{"solve-read/consumeattr", readLog, core.ConsumeAttr{}, 16},
+		{"solve-read/brute", readLog, core.BruteForce{}, 281},
+		{"compacted/greedy", compacted, core.ConsumeAttrCumul{}, 16},
+		{"compacted/consumeattr", compacted, core.ConsumeAttr{}, 16},
+		{"compacted/brute", compacted, core.BruteForce{}, 282},
+	} {
+		prep, err := core.PrepareLog(tc.log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := core.WithPrepared(context.Background(), prep)
+		in := core.Instance{Log: tc.log, Tuple: tuples[0], M: 4}
+		got := testing.AllocsPerRun(10, func() {
+			if _, err := tc.solver.SolveContext(ctx, in); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocs/op", tc.name, got)
+		if got > tc.want {
+			t.Errorf("%s: a warm solve allocates %.0f times, pinned at %.0f", tc.name, got, tc.want)
 		}
 	}
 }

@@ -67,11 +67,12 @@ func solveCounting(ctx context.Context, s counting, in Instance) (Solution, erro
 	if err := ctx.Err(); err != nil {
 		return obs.end(ctx, Solution{}, fmt.Errorf("core: %s: %w", s.Name(), err))
 	}
-	n, err := normalize(ctx, in)
+	n, err := reduce(ctx, in, false)
 	if err != nil {
 		return obs.end(ctx, Solution{}, err)
 	}
 	sol, err := runCounting(ctx, s, &n, in.Tuple, n.ones, in.M, obs.tr)
+	n.release()
 	return obs.end(ctx, sol, err)
 }
 
@@ -146,9 +147,8 @@ func (n *normalized) Containing(ctx context.Context, cands []bitvec.Vector) ([]i
 				return nil, err
 			}
 		}
-		for i := range n.segs {
-			s := &n.segs[i]
-			counts[ci] += s.idx.Containing(cand, s.scratch)
+		for i, s := range n.segs {
+			counts[ci] += s.idx.Containing(cand, n.scratch[i])
 		}
 	}
 	return counts, nil

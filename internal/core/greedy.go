@@ -188,6 +188,7 @@ func (ConsumeQueries) solve(ctx context.Context, in Instance, tr *obsv.Trace) (S
 	if err != nil {
 		return Solution{}, err
 	}
+	defer n.release()
 	if n.exact {
 		return n.full(), nil
 	}

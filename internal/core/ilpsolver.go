@@ -81,6 +81,7 @@ func (s ILP) solve(ctx context.Context, in Instance, tr *obsv.Trace) (Solution, 
 	if err != nil {
 		return Solution{}, err
 	}
+	defer n.release()
 	if n.exact {
 		return n.full(), nil
 	}

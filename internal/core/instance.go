@@ -41,12 +41,18 @@ type Instance struct {
 }
 
 // Validate checks structural consistency.
-func (in Instance) Validate() error {
+func (in Instance) Validate() error { return in.validate(true) }
+
+// validate is Validate, checking the log's own queries and weights only when
+// checkLog is set: a usable PreparedLog checked them when it was built.
+func (in Instance) validate(checkLog bool) error {
 	if in.Log == nil {
 		return errors.New("core: instance has nil query log")
 	}
-	if err := in.Log.Validate(); err != nil {
-		return err
+	if checkLog {
+		if err := in.Log.Validate(); err != nil {
+			return err
+		}
 	}
 	if in.Tuple.Width() != in.Log.Width() {
 		return fmt.Errorf("core: tuple width %d, query log width %d",
@@ -143,38 +149,51 @@ func (s Solution) AttrNames(schema *dataset.Schema) []string {
 // satisfy them — the tuple itself cannot), and the effective budget is
 // clamped to the tuple size.
 //
-// When the solve's context carries a PreparedLog for the instance's log (see
-// WithPrepared and SolveBatchContext), normalize additionally attaches the
-// shared attribute→query bitmap index: the restricted log is materialized
-// from the index's candidate bitmap instead of a full scan, and score runs
-// word-parallel over dropped-attribute columns instead of rescanning
-// queries. Results are bit-identical either way — the differential sweep in
+// When the solve's context carries a usable PreparedLog for the instance's
+// log (see WithPrepared and SolveBatchContext), which validated the log when
+// it was built, normalize attaches the shared attribute→query index
+// instead: per segment, the candidate set of queries contained in the tuple
+// and a kernel scratch from the prep, so score runs word-parallel over
+// dropped-attribute columns. The restricted log is then built, from the
+// candidate sets, only for the solvers that read queries (MFI's projection,
+// ILP, IP, ConsumeQueries); for the counting solvers log stays nil. Results
+// are bit-identical either way — the differential sweep in
 // differential_test.go pins that. A *normalized is also the Counter the
 // counting solvers run their bodies over (counter.go).
 type normalized struct {
 	in    Instance
-	log   *dataset.QueryLog // queries ⊆ tuple
+	log   *dataset.QueryLog // queries ⊆ tuple; nil for a counting solve with an index
 	ones  []int             // indices of the tuple's attributes
 	m     int               // min(M, |tuple|)
 	exact bool              // true when the whole tuple fits the budget
 
-	segs    []segref // shared per-log index segments, or nil
-	freq    []int    // weighted attribute frequencies (segs path only)
-	dropbuf []int    // scoring workspace (segs path only)
+	prep    *PreparedLog     // the attached prep, or nil
+	segs    []segref         // shared per-log index segments, or nil
+	scratch []*index.Scratch // one kernel scratch per segment, from prep
 }
 
-// segref is one index segment of the attached PreparedLog with this solve's
-// per-segment state: the candidate bitmap of the segment's queries contained
-// in the tuple (in segment-local ids) and a scoring scratch.
+// segref is one index segment of the attached PreparedLog with the
+// candidate set of the segment's queries contained in the tuple (in
+// segment-local ids).
 type segref struct {
-	idx     *index.Index
-	off     int // global id of the segment's first query
-	cand    bitvec.Bits
-	scratch *index.Scratch
+	idx  *index.Index
+	cand bitvec.Bits
 }
 
+// normalize reduces in for a solver that reads the restricted log. Callers
+// release the result when the solve ends.
 func normalize(ctx context.Context, in Instance) (normalized, error) {
-	if err := in.Validate(); err != nil {
+	return reduce(ctx, in, true)
+}
+
+// reduce is normalize, building the restricted log with an index attached
+// only when needLog is set.
+func reduce(ctx context.Context, in Instance, needLog bool) (normalized, error) {
+	p := preparedFromContext(ctx)
+	if !p.usableFor(in.Log) {
+		p = nil
+	}
+	if err := in.validate(p == nil); err != nil {
 		return normalized{}, err
 	}
 	n := normalized{
@@ -182,23 +201,29 @@ func normalize(ctx context.Context, in Instance) (normalized, error) {
 		ones: in.Tuple.Ones(),
 		m:    in.M,
 	}
-	if p := preparedFromContext(ctx); p != nil && p.usableFor(in.Log) {
+	if p != nil {
 		seg := p.seg
-		n.freq = seg.AttrFrequencies()
+		n.prep = p
 		n.segs = make([]segref, seg.Segments())
-		n.dropbuf = make([]int, 0, len(n.ones))
-		// Materialize the restricted log from the per-segment candidate sets.
-		// Segments cover contiguous windows in log order and member iteration
-		// is ascending, so walking them in order preserves global query order
-		// — greedy tie-breaking matches the scan path exactly. CandidateSet
-		// keeps each segment's candidates in whatever representation its size
-		// bucket uses — compressed candidates stay compressed through every
-		// subsequent score.
-		restricted := dataset.NewQueryLog(in.Log.Schema)
+		n.scratch = p.takeScratch()
+		var restricted *dataset.QueryLog
+		if needLog {
+			restricted = dataset.NewQueryLog(in.Log.Schema)
+		}
 		for si := range n.segs {
+			// CandidateSet keeps each segment's candidates in whatever
+			// representation its size bucket uses — compressed candidates
+			// stay compressed through every subsequent score.
 			ix, off := seg.Segment(si), seg.Offset(si)
 			cand := ix.CandidateSet(in.Tuple)
-			n.segs[si] = segref{idx: ix, off: off, cand: cand, scratch: ix.NewScratch()}
+			n.segs[si] = segref{idx: ix, cand: cand}
+			if restricted == nil {
+				continue
+			}
+			// Segments cover contiguous windows in log order and member
+			// iteration is ascending, so walking them in order preserves
+			// global query order — greedy tie-breaking matches the scan path
+			// exactly.
 			cand.Range(func(qi int) bool {
 				restricted.Queries = append(restricted.Queries, in.Log.Queries[off+qi])
 				if in.Log.Weights != nil {
@@ -218,22 +243,25 @@ func normalize(ctx context.Context, in Instance) (normalized, error) {
 	return n, nil
 }
 
-// shard returns a copy of n with independent scoring workspaces (per-segment
-// scratch bitmaps and the drop buffer), for parallel enumeration: score
-// mutates those buffers, so concurrent shards must not share them. Everything
-// else — the restricted log, the indexes, the candidate bitmaps — is
-// read-only after normalize and stays shared.
+// shard returns a copy of n with its own kernel scratches, for parallel
+// enumeration: score writes into them, so concurrent shards must not share
+// them. Everything else — the restricted log, the indexes, the candidate
+// sets — is read-only after normalize and stays shared. The copy is
+// released on its own.
 func (n normalized) shard() normalized {
-	if n.segs != nil {
-		segs := make([]segref, len(n.segs))
-		copy(segs, n.segs)
-		for i := range segs {
-			segs[i].scratch = segs[i].idx.NewScratch()
-		}
-		n.segs = segs
-		n.dropbuf = make([]int, 0, len(n.ones))
+	if n.prep != nil {
+		n.scratch = n.prep.takeScratch()
 	}
 	return n
+}
+
+// release returns n's kernel scratches to the prep's free list; n must not
+// score afterwards.
+func (n *normalized) release() {
+	if n.scratch != nil {
+		n.prep.putScratch(n.scratch)
+		n.scratch = nil
+	}
 }
 
 // full returns the trivial solution that keeps the entire tuple.
@@ -251,16 +279,16 @@ func (n normalized) full() Solution {
 // sums add up exactly because every query lives in exactly one segment.
 func (n normalized) score(kept bitvec.Vector) int {
 	if n.segs != nil {
-		drop := n.dropbuf[:0]
+		var buf [64]int // SatisfiedDropping keeps no reference to drop
+		drop := buf[:0]
 		for _, a := range n.ones {
 			if !kept.Get(a) {
 				drop = append(drop, a)
 			}
 		}
 		total := 0
-		for i := range n.segs {
-			s := &n.segs[i]
-			total += s.idx.SatisfiedDropping(s.cand, drop, s.scratch)
+		for i, s := range n.segs {
+			total += s.idx.SatisfiedDropping(s.cand, drop, n.scratch[i])
 		}
 		return total
 	}
@@ -270,8 +298,8 @@ func (n normalized) score(kept bitvec.Vector) int {
 // fullFreq returns per-attribute weighted frequencies over the whole
 // (unrestricted) log — precomputed by the index when one is attached.
 func (n normalized) fullFreq() []int {
-	if n.segs != nil {
-		return n.freq
+	if n.prep != nil {
+		return n.prep.seg.AttrFrequencies()
 	}
 	return n.in.Log.AttrFrequencies()
 }

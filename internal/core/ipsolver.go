@@ -55,6 +55,7 @@ func (IP) solve(ctx context.Context, in Instance, tr *obsv.Trace) (Solution, err
 	if err != nil {
 		return Solution{}, err
 	}
+	defer n.release()
 	if n.exact {
 		return n.full(), nil
 	}

@@ -15,6 +15,28 @@ import (
 // At one log copy per generation kept reachable, the heap would grow with
 // every append instead.
 func TestAppendGenerationsHeapBounded(t *testing.T) {
+	// Warm the model as the serving layer does for every generation, so no
+	// prep keeps its predecessor.
+	appendGenerationsHeapBounded(t, true)
+}
+
+// TestUnwarmedGenerationsHeapBounded: a chain of delta preps whose models
+// are never built pins at most one ancestor per prep, so the heap stays
+// bounded as in TestAppendGenerationsHeapBounded, and the newest prep still
+// derives the model a full build gives.
+func TestUnwarmedGenerationsHeapBounded(t *testing.T) {
+	p := appendGenerationsHeapBounded(t, false)
+	if extends, _ := warm(t, p); extends == 0 {
+		t.Fatal("the newest prep built its model instead of deriving it")
+	}
+}
+
+// appendGenerationsHeapBounded prepares 500 one-query generations over a
+// 4,096-entry weighted log, holding only the newest generation and its
+// prep, and fails when the live heap after 500 exceeds 1.5× the heap after
+// 34. warmEach builds every generation's estimator model as it goes. It
+// returns the newest prep.
+func appendGenerationsHeapBounded(t *testing.T, warmEach bool) *PreparedLog {
 	live := func() int64 {
 		runtime.GC()
 		runtime.GC()
@@ -38,10 +60,10 @@ func TestAppendGenerationsHeapBounded(t *testing.T) {
 		if p, err = PrepareLogFrom(p, next); err != nil {
 			t.Fatal(err)
 		}
-		// Warm the model as the serving layer does for every generation,
-		// so no prep keeps its predecessor.
-		if _, err := p.EstimatorModel(ctx); err != nil {
-			t.Fatal(err)
+		if warmEach {
+			if _, err := p.EstimatorModel(ctx); err != nil {
+				t.Fatal(err)
+			}
 		}
 		log = next
 		if g == 34 {
@@ -53,5 +75,5 @@ func TestAppendGenerationsHeapBounded(t *testing.T) {
 	if at500 > at34*3/2 {
 		t.Fatalf("live heap grew from %d B after 34 appends to %d B after 500 (limit 1.5×)", at34, at500)
 	}
-	runtime.KeepAlive(p)
+	return p
 }

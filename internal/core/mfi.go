@@ -101,6 +101,7 @@ func (s MaxFreqItemSets) solve(ctx context.Context, in Instance) (Solution, erro
 	if err != nil {
 		return Solution{}, err
 	}
+	defer n.release()
 	if n.exact {
 		return n.full(), nil
 	}
@@ -167,6 +168,7 @@ func (p *Prep) solvePrepared(ctx context.Context, tuple bitvec.Vector, m int) (S
 	if err != nil {
 		return Solution{}, err
 	}
+	defer n.release()
 	if n.exact {
 		return n.full(), nil
 	}

@@ -66,11 +66,11 @@ type PreparedLog struct {
 	seg   *index.Segmented
 	delta bool // built incrementally by PrepareLogFrom
 
-	// scratch holds sum's idle kernel scratches, each one *index.Scratch
-	// per segment of seg, so a warm count allocates only its result. A
-	// free list rather than a sync.Pool, which under the race detector
-	// drops a quarter of its Puts at random and so makes allocation counts
-	// vary from run to run.
+	// scratch holds the idle kernel scratches of counts (sum) and solves
+	// through this prep, each one *index.Scratch per segment of seg, so a
+	// warm count or solve allocates none. A free list rather than a
+	// sync.Pool, which under the race detector drops a quarter of its Puts
+	// at random and so makes allocation counts vary from run to run.
 	scratchMu sync.Mutex
 	scratch   [][]*index.Scratch
 
@@ -80,14 +80,26 @@ type PreparedLog struct {
 	// (DESIGN.md §16), built at most once per prep generation and shared by
 	// every solve through this prep. est is published atomically so probes
 	// never wait on a build; estMu makes the build single-flight and guards
-	// estErr and prev.
+	// estErr.
 	estMu  sync.Mutex
 	est    atomic.Pointer[estimate.Model]
 	estErr error
-	// prev is the generation a PrepareLogFrom delta extended: its model is
-	// the base this prep's model is derived from. Dropped once the model or
-	// a sticky error exists, so a warmed prep pins no older generation.
-	prev *PreparedLog
+	// prev is the older generation whose model this prep's model is derived
+	// from: the one PrepareLogFrom extended when that one's model is built
+	// or it has no prev of its own, else that one's prev. So a chain of
+	// unwarmed generations pins at most one ancestor per prep, and the
+	// derivation extends over the longer window, which equals a build just
+	// the same. Dropped once the model or a sticky error exists, so a warmed
+	// prep pins no older generation. Atomic so that reading it never waits
+	// on estMu, which a model build holds.
+	prev atomic.Pointer[PreparedLog]
+	// extended is the log of the generation PrepareLogFrom extended, at the
+	// version and size its lineage proof was made against. A derivation
+	// refuses once that log has changed, as it would deriving from that
+	// generation itself. Guarded by estMu; dropped with prev.
+	extended    *dataset.QueryLog
+	extendedVer uint64
+	extendedLen int
 	// estHook, when set by a test, runs at the start of a model build with
 	// estMu held.
 	estHook func()
@@ -149,7 +161,13 @@ func newPrepared(seg *index.Segmented, prev *PreparedLog) *PreparedLog {
 		seg:   seg,
 		delta: prev != nil,
 		sols:  cache.NewLRU[solutionKey, Solution](DefaultSolutionCacheSize),
-		prev:  prev,
+	}
+	if prev != nil {
+		p.extended, p.extendedVer, p.extendedLen = prev.seg.Log(), prev.seg.Version(), prev.seg.NumQueries()
+		if link := prev.prev.Load(); link != nil && prev.est.Load() == nil {
+			prev = link
+		}
+		p.prev.Store(prev)
 	}
 	p.sols.OnEvict = func(solutionKey, Solution) {
 		mPrepCacheEvictions.Add(1)
@@ -256,15 +274,16 @@ func (p *PreparedLog) usableFor(log *dataset.QueryLog) bool {
 // SolveContext's staleness check happens before any solver runs, so the
 // model a successful solve uses always matches the prep's snapshot.
 //
-// A prep that PrepareLogFrom built as a delta derives its model from its
-// predecessor's (estimate.Model.Extend over the appended queries, with this
-// prep's index answering the supports the appended queries cannot), which
-// costs O(append) instead of a mining pass over the whole log and yields
-// exactly the model a full build would. The predecessor's model comes from
-// its own EstimatorModel, so a chain of unwarmed generations resolves oldest
-// first. Every other case — a full build, a stale prep, a predecessor model
-// that does not summarize exactly the queries this prep extended, a failed
-// derivation — builds from the log.
+// A prep that PrepareLogFrom built as a delta derives its model from a
+// predecessor's (estimate.Model.Extend over the queries appended since, with
+// this prep's index answering the supports the appended queries cannot),
+// which costs O(append) instead of a mining pass over the whole log and
+// yields exactly the model a full build would. The predecessor is the
+// generation it extended, or, when that one was still unwarmed and derived
+// from an older one, that older one; its model comes from its own
+// EstimatorModel. Every other case — a full build, a stale prep, a
+// predecessor model that does not summarize exactly the queries it indexed,
+// a changed log, a failed derivation — builds from the log.
 //
 // A context-cancellation failure is not sticky (the next caller rebuilds);
 // any other build failure is recorded and returned to every later caller.
@@ -289,12 +308,15 @@ func (p *PreparedLog) EstimatorModel(ctx context.Context) (*estimate.Model, erro
 	}
 	if err != nil {
 		if ctx.Err() == nil {
-			p.estErr, p.prev = err, nil
+			p.estErr = err
+			p.prev.Store(nil)
+			p.extended = nil
 		}
 		return nil, err
 	}
 	p.est.Store(m)
-	p.prev = nil
+	p.prev.Store(nil)
+	p.extended = nil
 	return m, nil
 }
 
@@ -302,7 +324,7 @@ func (p *PreparedLog) EstimatorModel(ctx context.Context) (*estimate.Model, erro
 // returns (nil, nil) when the derivation does not apply or fails for a
 // reason other than ctx, and the caller builds from the log instead.
 func (p *PreparedLog) deriveModel(ctx context.Context) (*estimate.Model, error) {
-	prev := p.prev
+	prev := p.prev.Load()
 	if prev == nil {
 		return nil, nil
 	}
@@ -315,11 +337,13 @@ func (p *PreparedLog) deriveModel(ctx context.Context) (*estimate.Model, error) 
 	}
 	// pm must summarize exactly the queries prev indexed, which the window
 	// follows (a predecessor log appended to in place before its model was
-	// built fails that), and neither log may have changed since its prep: a
-	// Touch of prev's log may have reached pm, one of p's log would reach
-	// Build but not the derivation.
+	// built fails that), and no log may have changed since its prep or
+	// lineage proof: a Touch of prev's log may have reached pm, one of p's
+	// log would reach Build but not the derivation.
 	from := prev.seg.NumQueries()
-	if pm.NumQueries() != from || prev.Stale() || p.Stale() {
+	ext := p.extended
+	if pm.NumQueries() != from || prev.Stale() || p.Stale() ||
+		ext.Version() != p.extendedVer || ext.Size() != p.extendedLen {
 		return nil, nil
 	}
 	m, err := pm.Extend(ctx, p.seg.Log().Window(from, p.seg.NumQueries()), p.containing)

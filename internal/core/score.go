@@ -78,27 +78,11 @@ func (p *PreparedLog) containing(ctx context.Context, cands []bitvec.Vector) ([]
 
 // sum returns, for each candidate, the per-segment kernel summed over the
 // prep's segments — exact because each query lives in exactly one segment.
-// Each segment gets one scratch for the whole call, from the prep's free
-// list: a prep's segments never change, so its scratches fit every call.
+// Each segment gets one scratch for the whole call.
 func (p *PreparedLog) sum(ctx context.Context, cands []bitvec.Vector, kernel func(*index.Index, bitvec.Vector, *index.Scratch) int) ([]int, error) {
 	seg := p.seg
-	var scratch []*index.Scratch
-	p.scratchMu.Lock()
-	if n := len(p.scratch); n > 0 {
-		scratch, p.scratch = p.scratch[n-1], p.scratch[:n-1]
-	}
-	p.scratchMu.Unlock()
-	if scratch == nil {
-		scratch = make([]*index.Scratch, seg.Segments())
-		for si := range scratch {
-			scratch[si] = seg.Segment(si).NewScratch()
-		}
-	}
-	defer func() {
-		p.scratchMu.Lock()
-		p.scratch = append(p.scratch, scratch)
-		p.scratchMu.Unlock()
-	}()
+	scratch := p.takeScratch()
+	defer p.putScratch(scratch)
 	counts := make([]int, len(cands))
 	for ci, cand := range cands {
 		if ci&pollMask == 0 {
@@ -111,6 +95,32 @@ func (p *PreparedLog) sum(ctx context.Context, cands []bitvec.Vector, kernel fun
 		}
 	}
 	return counts, nil
+}
+
+// takeScratch returns one kernel scratch per segment from the prep's free
+// list, or a fresh set when the list is empty: a prep's segments never
+// change, so its scratches fit every count over it. putScratch returns the
+// set once its user is done.
+func (p *PreparedLog) takeScratch() []*index.Scratch {
+	p.scratchMu.Lock()
+	if n := len(p.scratch); n > 0 {
+		s := p.scratch[n-1]
+		p.scratch = p.scratch[:n-1]
+		p.scratchMu.Unlock()
+		return s
+	}
+	p.scratchMu.Unlock()
+	s := make([]*index.Scratch, p.seg.Segments())
+	for si := range s {
+		s[si] = p.seg.Segment(si).NewScratch()
+	}
+	return s
+}
+
+func (p *PreparedLog) putScratch(s []*index.Scratch) {
+	p.scratchMu.Lock()
+	p.scratch = append(p.scratch, s)
+	p.scratchMu.Unlock()
 }
 
 // containingScan answers Containing in one pass over the log: each query

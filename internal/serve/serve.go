@@ -221,7 +221,7 @@ func New(cfg Config) (*Server, error) {
 		log:     cfg.Log,
 	}
 	s.adm = httpx.NewGate(cfg.MaxConcurrent, cfg.MaxQueue, s.met.inflight, s.met.queueDepth)
-	s.prep = newPrepCache(baseCtx, httpx.NewBackoff(cfg.RebuildBackoff, cfg.Seed), cfg.RebuildRetries, s.met)
+	s.prep = newPrepCache(s.CurrentLog, baseCtx, httpx.NewBackoff(cfg.RebuildBackoff, cfg.Seed), cfg.RebuildRetries, s.met)
 	mw := &httpx.Middleware{Flight: s.flight, Slow: cfg.SlowThreshold, Logger: cfg.Logger, OnPanic: func() {
 		s.met.panics.Add(1)
 		s.met.failures.Add(1)
@@ -778,8 +778,8 @@ func logStats(log *dataset.QueryLog) logResponse {
 
 // handleReadyz is readiness: the shared index matches the current log
 // generation and the admission queue has room. When the index is missing or
-// stale it kicks a background single-flight build and reports 503 so load
-// balancers drain to warmed replicas.
+// stale it reports 503 so load balancers drain to warmed replicas, and
+// starts a background single-flight build unless one is already in flight.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if err := s.baseCtx.Err(); err != nil {
 		httpx.WriteJSON(r.Context(), w, http.StatusServiceUnavailable, map[string]string{"status": "shutting down"})
@@ -790,6 +790,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		httpx.WriteJSON(r.Context(), w, http.StatusOK, map[string]any{"status": "ready", "queue_depth": s.adm.Depth()})
 		return
 	}
-	go func() { _, _ = s.prep.get(s.baseCtx, log) }()
+	s.prep.kick(log)
 	httpx.WriteJSON(r.Context(), w, http.StatusServiceUnavailable, map[string]string{"status": "index not ready"})
 }

@@ -2,11 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -424,6 +426,85 @@ func TestHealthAndReadiness(t *testing.T) {
 			t.Fatal("readyz never became ready")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestReadinessStartsOneBuild: readiness polls while the start-up build
+// runs join that one build: none starts another, and none leaves a
+// goroutine behind waiting on it.
+func TestReadinessStartsOneBuild(t *testing.T) {
+	srv, _, _, _ := newTestServer(t, func(c *Config) {
+		c.Injector = fault.New(1, fault.Rule{Site: "core.prep.build", Count: 1, Kind: fault.KindDelay, Delay: time.Second})
+	})
+	poll := func() int {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+		return rec.Code
+	}
+	if code := poll(); code != http.StatusServiceUnavailable {
+		t.Fatalf("first readyz = %d, want 503 while the index builds", code)
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 199; i++ {
+		poll()
+	}
+	if after := runtime.NumGoroutine(); after > before+5 {
+		t.Errorf("200 readiness polls left %d goroutines, %d after the first", after, before)
+	}
+	if got := srv.met.prepRebuilds.Value(); got != 1 {
+		t.Errorf("200 readiness polls started %d builds, want 1", got)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for poll() != http.StatusOK {
+		if time.Now().After(deadline) {
+			t.Fatal("readyz never became ready")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := srv.met.prepRebuilds.Value(); got != 1 {
+		t.Errorf("start-up took %d builds, want 1", got)
+	}
+}
+
+// TestOlderGenerationSolvesWithoutIndex: a solve of the start-up log after
+// an append's generation has been prepared is answered without an index.
+// The cache builds nothing for the older generation and keeps the newer
+// generation's prep.
+func TestOlderGenerationSolvesWithoutIndex(t *testing.T) {
+	srv, ts, log, tuples := newTestServer(t, nil)
+	if status, raw := postJSON(t, ts.URL+"/log", appendRequest{Append: []string{tuples[1].String()}}); status != http.StatusOK {
+		t.Fatalf("append: status %d body %s", status, raw)
+	}
+	if status, raw := postJSON(t, ts.URL+"/solve", solveRequest{Tuple: tuples[0].String(), M: 4, Algo: "greedy"}); status != http.StatusOK {
+		t.Fatalf("solve: status %d body %s", status, raw)
+	}
+	p1 := srv.prep.snapshot()
+	if !usable(p1, srv.CurrentLog()) {
+		t.Fatal("the solve did not cache the appended generation's prep")
+	}
+	indexBuilds := obsv.Default.Counter("standout_index_builds_total", "")
+	rebuilds, builds := srv.met.prepRebuilds.Value(), indexBuilds.Value()
+
+	sol, used, _, err := srv.solveLadder(context.Background(), "greedy", log, tuples[2], 4)
+	if err != nil {
+		t.Fatalf("solve of the start-up generation via %s: %v", used, err)
+	}
+	if got := srv.met.prepRebuilds.Value(); got != rebuilds {
+		t.Errorf("prep rebuilds %d → %d for an older generation", rebuilds, got)
+	}
+	if got := indexBuilds.Value(); got != builds {
+		t.Errorf("index builds %d → %d for an older generation", builds, got)
+	}
+	if srv.prep.snapshot() != p1 {
+		t.Error("the older generation replaced the newer generation's prep")
+	}
+	want, err := core.ConsumeAttrCumul{}.Solve(core.Instance{Log: log, Tuple: tuples[2], M: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sol.Kept.Equal(want.Kept) || sol.Satisfied != want.Satisfied {
+		t.Errorf("start-up generation: kept %s satisfying %d, ConsumeAttrCumul keeps %s satisfying %d",
+			sol.Kept, sol.Satisfied, want.Kept, want.Satisfied)
 	}
 }
 
