@@ -131,6 +131,7 @@ FUZZ_SMOKE := \
 	FuzzSegmentMerge:internal/index:8 \
 	FuzzContainingAgrees:internal/index:8 \
 	FuzzCompactEquivalence:internal/compact:6 \
+	FuzzMaximalDFSFloor:internal/itemsets:8 \
 	FuzzExactSolversAgree:internal/core:14 \
 	FuzzIndexedSolveAgrees:internal/core:6 \
 	FuzzSolveCounterAdditive:internal/core:8 \

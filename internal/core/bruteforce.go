@@ -87,12 +87,19 @@ func (s BruteForce) count(ctx context.Context, c Counter, tuple bitvec.Vector, o
 // enumerate walks the m-combinations of ones in lexicographic order —
 // restricted to sh's prefix when sh.plen > 0 — scoring them in Satisfied
 // calls of up to bruteBatch candidates, and returns the first-maximum
-// candidate plus the number of candidates scored. The batch vectors are
-// refilled in place between calls; only a new best is cloned.
+// candidate plus the number of candidates scored. The batch vectors, one
+// allocation for as many as one call can take, are refilled in place
+// between calls; only a new best is cloned.
 func enumerate(ctx context.Context, c Counter, width int, ones []int, m int, sh bfShard) (Solution, int, error) {
+	start := 0
+	comb := make([]int, m)
+	for d := 0; d < sh.plen; d++ {
+		comb[d] = sh.prefix[d]
+		start = sh.prefix[d] + 1
+	}
 	var best Solution
 	candidates := 0
-	var batch []bitvec.Vector
+	batch := vectors(width, combinations(len(ones)-start, m-sh.plen, bruteBatch))
 	n := 0
 	flush := func() error {
 		counts, err := c.Satisfied(ctx, batch[:n])
@@ -110,13 +117,9 @@ func enumerate(ctx context.Context, c Counter, width int, ones []int, m int, sh 
 		return nil
 	}
 
-	comb := make([]int, m)
 	var rec func(start, depth int) error
 	rec = func(start, depth int) error {
 		if depth == m {
-			if n == len(batch) {
-				batch = append(batch, bitvec.New(width))
-			}
 			v := batch[n]
 			clear(v.Words())
 			for _, idx := range comb {
@@ -135,11 +138,6 @@ func enumerate(ctx context.Context, c Counter, width int, ones []int, m int, sh 
 		}
 		return nil
 	}
-	start := 0
-	for d := 0; d < sh.plen; d++ {
-		comb[d] = sh.prefix[d]
-		start = sh.prefix[d] + 1
-	}
 	err := rec(start, sh.plen)
 	if err == nil && n > 0 {
 		err = flush()
@@ -148,6 +146,16 @@ func enumerate(ctx context.Context, c Counter, width int, ones []int, m int, sh 
 		return Solution{}, candidates, err
 	}
 	return best, candidates, nil
+}
+
+// combinations returns C(n, k), or limit when that is smaller.
+func combinations(n, k, limit int) int {
+	k = min(k, n-k) // C(n, i) grows with i up to n/2, so the cap may cut short
+	c := 1
+	for i := 0; i < k && c < limit; i++ {
+		c = c * (n - i) / (i + 1)
+	}
+	return min(c, limit)
 }
 
 // enumerateSharded splits the combination space on its leading elements —

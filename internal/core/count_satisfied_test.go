@@ -119,10 +119,10 @@ func TestCountingSolverAllocsPinned(t *testing.T) {
 	}{
 		{"solve-read/greedy", readLog, core.ConsumeAttrCumul{}, 16},
 		{"solve-read/consumeattr", readLog, core.ConsumeAttr{}, 16},
-		{"solve-read/brute", readLog, core.BruteForce{}, 281},
+		{"solve-read/brute", readLog, core.BruteForce{}, 18},
 		{"compacted/greedy", compacted, core.ConsumeAttrCumul{}, 16},
 		{"compacted/consumeattr", compacted, core.ConsumeAttr{}, 16},
-		{"compacted/brute", compacted, core.BruteForce{}, 282},
+		{"compacted/brute", compacted, core.BruteForce{}, 19},
 	} {
 		prep, err := core.PrepareLog(tc.log)
 		if err != nil {

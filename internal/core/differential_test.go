@@ -189,6 +189,12 @@ func TestDifferentialEdgeInstances(t *testing.T) {
 			Log:   mkLog([]int{0}, []int{1, 2}),
 			Tuple: bitvec.New(width), M: 2,
 		},
+		// Inside the tuple, but each query needs more attributes than the
+		// budget keeps: MFI mines no budget row and falls back.
+		"every query over budget": {
+			Log:   mkLog([]int{0, 1, 2}, []int{1, 3, 4}, []int{0, 2, 3, 4}, []int{0, 1, 2}, []int{5, 6}),
+			Tuple: bitvec.FromIndices(width, 0, 1, 2, 3, 4), M: 2,
+		},
 	}
 	for name, in := range cases {
 		t.Run(name, func(t *testing.T) { runDifferential(t, in) })

@@ -222,12 +222,30 @@ func (s MaxFreqItemSets) solveNormalized(ctx context.Context, n normalized, prep
 }
 
 // solveCore runs the MFI search. When prep is non-nil the mining runs on the
-// full log's complement with caching; otherwise on the (projected)
-// restricted log's complement.
+// full log's complement with caching; otherwise on the complement of the
+// (projected) restricted log's budget rows, with the exact DFS floored at
+// the searched level.
+//
+// Both one-shot reductions are exact for the level-(M−m) search, which reads
+// only mined sets of at least M−m items:
+//   - budget rows: a query with more than m attributes is satisfied by no
+//     compression of at most m, and its complement row has fewer than M−m
+//     items, so it supports no itemset at or above the searched level. Such
+//     itemsets keep their supports, so the maximal frequent itemsets of at
+//     least M−m items are the same with or without those rows;
+//   - level floor: the exact DFS prunes every subtree whose ceiling has fewer
+//     than M−m items and returns the canonical list filtered by size, so
+//     bestAtLevel sees the same sets, supports and order as before.
+//
+// The greedy seed, the threshold clamp and bestAtLevel's bounds still read
+// the whole restricted log. The prep path keeps its unfloored, all-rows
+// mining: its per-threshold cache serves every tuple and budget.
 func (s MaxFreqItemSets) solveCore(ctx context.Context, n normalized, prep *Prep) (Solution, error) {
 	mineLog := n.log
+	floor := n.in.Tuple.Width() - n.m
 	if prep != nil {
 		mineLog = prep.log
+		floor = 0
 	}
 	// Support thresholds are in weight units: the miner counts weighted
 	// support, the greedy seed below is a weighted score, and a hit at any
@@ -243,7 +261,7 @@ func (s MaxFreqItemSets) solveCore(ctx context.Context, n normalized, prep *Prep
 		defer sp.End()
 		switch s.Backend {
 		case BackendExactDFS:
-			return miner.MaximalDFSParallelContext(ctx, thr, s.Workers)
+			return miner.MaximalDFSFloorContext(ctx, thr, floor, s.Workers)
 		case BackendBottomUpWalk:
 			return miner.MaximalRandomWalkBottomUpContext(ctx, thr, s.walkOpts())
 		default:
@@ -269,7 +287,7 @@ func (s MaxFreqItemSets) solveCore(ctx context.Context, n normalized, prep *Prep
 			return out, nil
 		}
 		if oneShotMiner == nil {
-			oneShotMiner = itemsets.NewMinerWeighted(mineLog.AsTable().Complement(), mineLog.Weights)
+			oneShotMiner = budgetMiner(mineLog, n.m)
 		}
 		return runMiner(oneShotMiner, thr)
 	}
@@ -358,6 +376,24 @@ func (s MaxFreqItemSets) solveCore(ctx context.Context, n normalized, prep *Prep
 	}
 }
 
+// budgetMiner builds the miner over the complements of log's queries with
+// at most m attributes, the only rows that support an itemset at the
+// searched level (see solveCore).
+func budgetMiner(log *dataset.QueryLog, m int) *itemsets.Miner {
+	tab := &dataset.Table{Schema: log.Schema}
+	var weights []int
+	for qi, q := range log.Queries {
+		if q.Count() > m {
+			continue
+		}
+		tab.Rows = append(tab.Rows, q.Not())
+		if log.Weights != nil {
+			weights = append(weights, log.Weights[qi])
+		}
+	}
+	return itemsets.NewMinerWeighted(tab, weights)
+}
+
 func (s MaxFreqItemSets) walkOpts() itemsets.WalkOptions {
 	opts := s.Walk
 	if opts.Rng == nil {
@@ -391,7 +427,8 @@ func (s MaxFreqItemSets) greedyLowerBound(n normalized) int {
 // their exact satisfied-query count. The enumeration mutates one shared
 // vector (no allocation per candidate); duplicate candidates across maximal
 // sets are rescored rather than deduplicated — scoring is cheaper than
-// tracking.
+// tracking. Maximal sets below level M−m are skipped: the floored exact DFS
+// returns none, but the walks and the unfloored prep path do.
 //
 // Cancellation is polled once per maximal set while bounding and every
 // pollMask+1 scored candidates while enumerating.

@@ -40,9 +40,9 @@ func (m *Miner) MaximalDFS(minSup int) []ItemsetCount {
 
 // MaximalDFSContext is MaximalDFS with cooperative cancellation: the DFS
 // polls ctx on every recursive call (each call performs at least one support
-// count, so the poll is amortized noise) and unwinds with ctx's error — the
-// partial itemset list found so far is returned alongside it. The mining is
-// worst-case exponential, which is exactly why a deadline belongs here.
+// count, so the poll is amortized noise) and returns ctx's error with a nil
+// list as soon as it sees it. The mining is worst-case exponential, which is
+// exactly why a deadline belongs here.
 //
 // The returned list is canonically ordered by SortBySize — a total order —
 // so equal inputs produce byte-equal output regardless of the mining
@@ -61,6 +61,17 @@ func (m *Miner) MaximalDFSContext(ctx context.Context, minSup int) ([]ItemsetCou
 // to the sequential one for any worker count. workers ≤ 1 mines on the
 // calling goroutine with no synchronization in the store.
 func (m *Miner) MaximalDFSParallelContext(ctx context.Context, minSup, workers int) ([]ItemsetCount, error) {
+	return m.MaximalDFSFloorContext(ctx, minSup, 0, workers)
+}
+
+// MaximalDFSFloorContext is MaximalDFSParallelContext restricted to maximal
+// sets of at least floor items: it returns exactly MaximalDFSParallelContext's
+// list filtered by that size, with the same supports in the same order. A
+// node whose ceiling — its set plus every viable extension, after
+// parent-equivalent items are absorbed — has fewer than floor items holds no
+// such set, so its subtree is pruned (MaxMiner's head/tail bound; Bayardo,
+// SIGMOD 1998). A floor ≤ 0 mines the whole lattice.
+func (m *Miner) MaximalDFSFloorContext(ctx context.Context, minSup, floor, workers int) ([]ItemsetCount, error) {
 	if minSup < 1 {
 		minSup = 1
 	}
@@ -70,17 +81,19 @@ func (m *Miner) MaximalDFSParallelContext(ctx context.Context, minSup, workers i
 	// Fail-first item order: least frequent items first.
 	order := itemOrder(m.singletonSupports())
 
-	d := &dfsRun{m: m, minSup: minSup, workers: workers}
+	d := &dfsRun{m: m, minSup: minSup, floor: floor, workers: workers}
 	err := d.rec(ctx, bitvec.New(m.width), m.fullRowset(), m.totalWeight, order, 0)
 	obsv.FromContext(ctx).Count("itemsets.dfs_nodes", d.nodes.Load())
 	if err != nil {
-		// Partial results: canonicalized, but incomplete — callers treat them
-		// as a sample, never a cache-worthy answer.
-		return canonicalMaximal(d.store.found), err
+		// The sets found so far are an incomplete answer no caller reads;
+		// canonicalizing them would only delay the error.
+		return nil, err
 	}
 
 	// The DFS can emit the empty itemset when nothing else is frequent; that
 	// is the correct answer (the empty set is maximal) and callers handle it.
+	// Every found set is frequent and every maximal set of at least floor
+	// items is found, so canonicalization leaves exactly those.
 	return canonicalMaximal(d.store.found), nil
 }
 
@@ -114,11 +127,12 @@ func (s *dfsStore) add(it ItemsetCount) {
 	s.found = append(s.found, it)
 }
 
-// dfsRun is one maximal-DFS mining run: the miner, the threshold, the shared
-// store and the parallelism budget spent at the root.
+// dfsRun is one maximal-DFS mining run: the miner, the threshold, the size
+// floor, the shared store and the parallelism budget spent at the root.
 type dfsRun struct {
 	m       *Miner
 	minSup  int
+	floor   int
 	workers int
 	store   dfsStore
 	nodes   atomic.Int64
@@ -156,6 +170,10 @@ func (d *dfsRun) rec(ctx context.Context, current bitvec.Vector, curRows []uint6
 		}
 		exts = append(exts, dfsExt{j, s})
 	}
+	ceiling := current.Count() + len(exts) // |current ∪ exts|: exts miss current
+	if ceiling < d.floor {
+		return nil
+	}
 	if len(exts) == 0 {
 		if !d.store.subsumed(current) {
 			d.store.add(ItemsetCount{Items: current.Clone(), Support: curSup})
@@ -186,9 +204,12 @@ func (d *dfsRun) rec(ctx context.Context, current bitvec.Vector, curRows []uint6
 	}
 
 	if depth == 0 && d.workers > 1 && len(exts) > 1 {
-		return d.branchesParallel(ctx, current, curRows, exts)
+		return d.branchesParallel(ctx, current, curRows, exts, ceiling)
 	}
 	for i, e := range exts {
+		if ceiling-i < d.floor {
+			break // this child's ceiling, and every later one's, is below the floor
+		}
 		next := current.Clone()
 		next.Set(e.item)
 		// Subsumption pruning: if next plus every remaining candidate is
@@ -216,10 +237,13 @@ func (d *dfsRun) rec(ctx context.Context, current bitvec.Vector, curRows []uint6
 // branchesParallel distributes the root's branch subtrees over internal/par
 // workers. Each branch owns its cloned itemset and rowset; only the found
 // store is shared, behind its mutex.
-func (d *dfsRun) branchesParallel(ctx context.Context, current bitvec.Vector, curRows []uint64, exts []dfsExt) error {
+func (d *dfsRun) branchesParallel(ctx context.Context, current bitvec.Vector, curRows []uint64, exts []dfsExt, ceiling int) error {
 	d.store.locked = true
 	res := par.Run(ctx, len(exts), par.Options{Workers: d.workers}, func(ctx context.Context, i int) error {
 		e := exts[i]
+		if ceiling-i < d.floor {
+			return nil // this branch's ceiling is below the floor
+		}
 		next := current.Clone()
 		next.Set(e.item)
 		withRest := next.Clone()

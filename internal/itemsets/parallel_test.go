@@ -2,9 +2,14 @@ package itemsets
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
+
+	"standout/internal/bitvec"
+	"standout/internal/dataset"
 )
 
 // listFingerprint flattens a mining result — order included, since the
@@ -56,5 +61,73 @@ func TestMaximalDFSParallelCancellation(t *testing.T) {
 	cancel()
 	if _, err := NewMiner(tab).MaximalDFSParallelContext(ctx, 1, 4); err == nil {
 		t.Fatal("want context error from cancelled parallel mine")
+	}
+}
+
+// cancelAfter is a context whose Done channel closes on its polls-th call,
+// reporting a deadline. The sequential DFS polls once per node, so the mine
+// is cut at the same node however fast the host runs; fired records when.
+type cancelAfter struct {
+	context.Context
+	polls int
+	done  chan struct{}
+	fired time.Time
+}
+
+func (c *cancelAfter) Done() <-chan struct{} {
+	if c.polls--; c.polls == 0 {
+		c.fired = time.Now()
+		close(c.done)
+	}
+	return c.done
+}
+
+func (c *cancelAfter) Err() error {
+	select {
+	case <-c.done:
+		return context.DeadlineExceeded
+	default:
+		return nil
+	}
+}
+
+// allButK returns the table of every row of width w missing exactly k items.
+// At minSup 1 each row is a maximal set, C(w, k) of them.
+func allButK(w, k int) *dataset.Table {
+	tab := dataset.NewTable(dataset.GenericSchema(w))
+	var rec func(start, left int, v bitvec.Vector)
+	rec = func(start, left int, v bitvec.Vector) {
+		if left == 0 {
+			tab.Rows = append(tab.Rows, v.Clone())
+			return
+		}
+		for j := start; j < w; j++ {
+			v.Clear(j)
+			rec(j+1, left-1, v)
+			v.Set(j)
+		}
+	}
+	rec(0, k, bitvec.New(w).Not())
+	return tab
+}
+
+// TestMaximalDFSCancelReturnsAtOnce: a mine cancelled while it holds many
+// found sets returns the context's error, and no list, at once. The table
+// has C(20, 5) = 15,504 maximal sets; the sequential DFS has found 10,418 of
+// them when the deadline fires at its 18,000th node. Canonicalizing that
+// partial list would take hundreds of milliseconds.
+func TestMaximalDFSCancelReturnsAtOnce(t *testing.T) {
+	m := NewMiner(allButK(20, 5))
+	ctx := &cancelAfter{Context: context.Background(), polls: 18_000, done: make(chan struct{})}
+	out, err := m.MaximalDFSContext(ctx, 1)
+	late := time.Since(ctx.fired)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the deadline", err)
+	}
+	if out != nil {
+		t.Errorf("a cancelled mine returned %d sets, want none", len(out))
+	}
+	if bound := cancelSlack * 10 * time.Millisecond; late > bound {
+		t.Errorf("returned %v after the deadline, want at most %v", late, bound)
 	}
 }

@@ -617,7 +617,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var errs []error
 	var batchErr error
 	if len(tuples) > 0 {
-		pctx := ctx
+		// Without the shared prep (a superseded generation, or persistent
+		// rebuild failure) the batch scans, as attempt and /score do, rather
+		// than index that generation for this one batch.
+		pctx := core.WithoutPreparation(ctx)
 		if p, perr := s.prep.get(ctx, log); perr == nil {
 			pctx = core.WithPrepared(ctx, p)
 		}

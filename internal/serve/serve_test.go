@@ -508,6 +508,78 @@ func TestOlderGenerationSolvesWithoutIndex(t *testing.T) {
 	}
 }
 
+// TestBatchOnSupersededGenerationScans: a batch that read the start-up log
+// before an append's generation was prepared is solved by scanning. It
+// builds no index for the older generation and returns the index-less
+// answers.
+func TestBatchOnSupersededGenerationScans(t *testing.T) {
+	// The batch is the first request through admission: it waits there,
+	// holding the start-up log, while the next generation is prepared.
+	inj := fault.New(1, fault.Rule{Site: "serve.admit", Count: 1, Kind: fault.KindDelay, Delay: time.Second})
+	srv, ts, log, tuples := newTestServer(t, func(c *Config) { c.Injector = inj })
+	batch := []bitvec.Vector{tuples[0], tuples[2]}
+	body, err := json.Marshal(batchRequest{Tuples: []string{batch[0].String(), batch[1].String()}, M: 4, Algo: "greedy"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type reply struct {
+		status int
+		raw    []byte
+		err    error
+	}
+	done := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/solve/batch", "application/json", bytes.NewReader(body))
+		if err != nil {
+			done <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		done <- reply{resp.StatusCode, raw, err}
+	}()
+	for inj.Fires("serve.admit") == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if status, raw := postJSON(t, ts.URL+"/log", appendRequest{Append: []string{tuples[1].String()}}); status != http.StatusOK {
+		t.Fatalf("append: status %d body %s", status, raw)
+	}
+	if status, raw := postJSON(t, ts.URL+"/solve", solveRequest{Tuple: tuples[0].String(), M: 4, Algo: "greedy"}); status != http.StatusOK {
+		t.Fatalf("solve: status %d body %s", status, raw)
+	}
+	if !usable(srv.prep.snapshot(), srv.CurrentLog()) {
+		t.Fatal("the solve did not cache the appended generation's prep")
+	}
+	indexBuilds := obsv.Default.Counter("standout_index_builds_total", "")
+	builds := indexBuilds.Value()
+
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.status != http.StatusOK {
+		t.Fatalf("batch: status %d body %s", r.status, r.raw)
+	}
+	if got := indexBuilds.Value(); got != builds {
+		t.Errorf("index builds %d → %d for a batch on an older generation", builds, got)
+	}
+	resp := decode[batchResponse](t, r.raw)
+	for i, tuple := range batch {
+		want, err := core.ConsumeAttrCumul{}.Solve(core.Instance{Log: log, Tuple: tuple, M: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := resp.Results[i].Result
+		if got == nil {
+			t.Fatalf("tuple %d: %s", i, resp.Results[i].Error)
+		}
+		if got.KeptBits != want.Kept.String() || got.Satisfied != want.Satisfied {
+			t.Errorf("tuple %d: kept %s satisfying %d, ConsumeAttrCumul on the start-up log keeps %s satisfying %d",
+				i, got.KeptBits, got.Satisfied, want.Kept, want.Satisfied)
+		}
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts, _, tuples := newTestServer(t, nil)
 	postJSON(t, ts.URL+"/solve", solveRequest{Tuple: tuples[0].String(), M: 2})
