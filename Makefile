@@ -135,6 +135,7 @@ FUZZ_SMOKE := \
 	FuzzExactSolversAgree:internal/core:14 \
 	FuzzIndexedSolveAgrees:internal/core:6 \
 	FuzzSolveCounterAdditive:internal/core:8 \
+	FuzzBruteSearchAgrees:internal/core:8 \
 	FuzzEstimateSoundness:internal/estimate:8 \
 	FuzzExtendMatchesBuild:internal/estimate:8 \
 	FuzzReadTableCSV:internal/dataset:4 \

@@ -106,7 +106,7 @@ func FuzzIndexedSolveAgrees(f *testing.F) {
 				}
 			}
 			query := bitvec.New(w)
-			k := 1 + r.Intn(3)
+			k := min(1+r.Intn(3), w) // a query can demand at most every attribute
 			for query.Count() < k {
 				query.Set(r.Intn(w))
 			}

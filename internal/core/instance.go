@@ -6,7 +6,7 @@
 //
 // Five solvers are provided, mirroring §IV:
 //
-//   - BruteForce        — exact, enumerates all C(|t|, m) compressions (§IV.A)
+//   - BruteForce        — exact, the best of all C(|t|, m) compressions (§IV.A)
 //   - ILP               — exact, the paper's integer linear program solved by
 //     branch-and-bound over an LP relaxation (§IV.B)
 //   - MaxFreqItemSets   — exact via maximal-frequent-itemset mining on the
@@ -94,7 +94,7 @@ func (s Solution) Trace() *obsv.Trace { return s.trace }
 
 // Stats reports solver work; fields are zero when not applicable.
 type Stats struct {
-	Candidates int // compressions evaluated (brute force, MFI enumeration)
+	Candidates int // compressions covered (brute force: C(|t|, m); MFI enumeration)
 	Nodes      int // branch-and-bound nodes (ILP)
 	MFIs       int // maximal frequent itemsets considered (MFI)
 	Threshold  int // final support threshold used (MFI)
@@ -241,18 +241,6 @@ func reduce(ctx context.Context, in Instance, needLog bool) (normalized, error) 
 		n.exact = true
 	}
 	return n, nil
-}
-
-// shard returns a copy of n with its own kernel scratches, for parallel
-// enumeration: score writes into them, so concurrent shards must not share
-// them. Everything else — the restricted log, the indexes, the candidate
-// sets — is read-only after normalize and stays shared. The copy is
-// released on its own.
-func (n normalized) shard() normalized {
-	if n.prep != nil {
-		n.scratch = n.prep.takeScratch()
-	}
-	return n
 }
 
 // release returns n's kernel scratches to the prep's free list; n must not

@@ -190,19 +190,11 @@ func (s MaxFreqItemSets) solveNormalized(ctx context.Context, n normalized, prep
 	}
 	width := n.in.Tuple.Width()
 	proj := dataset.NewQueryLog(dataset.GenericSchema(len(n.ones)))
-	pos := make(map[int]int, len(n.ones)) // original attr → projected index
-	for i, j := range n.ones {
-		pos[j] = i
-	}
+	proj.Queries = vectors(len(n.ones), len(n.log.Queries))
+	proj.Weights = n.log.Weights // read-only, like the restricted log's
 	for qi, q := range n.log.Queries {
-		pq := bitvec.New(len(n.ones))
-		for _, j := range q.Ones() {
-			pq.Set(pos[j])
-		}
-		proj.Queries = append(proj.Queries, pq)
-		if n.log.Weights != nil {
-			proj.Weights = append(proj.Weights, n.log.Weights[qi])
-		}
+		pq := proj.Queries[qi]
+		tuplePositions(q, n.in.Tuple, func(j int) { pq.Set(j) })
 	}
 	pn, err := normalize(ctx, Instance{Log: proj, Tuple: bitvec.New(len(n.ones)).Not(), M: n.m})
 	if err != nil {

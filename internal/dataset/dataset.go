@@ -11,6 +11,7 @@ package dataset
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -692,12 +693,11 @@ func (q *QueryLog) SatisfiedBy(v bitvec.Vector) []int {
 func (q *QueryLog) AttrFrequencies() []int {
 	freq := make([]int, q.Width())
 	for qi, r := range q.Queries {
-		w := 1
-		if q.Weights != nil {
-			w = q.Weights[qi]
-		}
-		for _, i := range r.Ones() {
-			freq[i] += w
+		w := q.Weight(qi)
+		for wi, word := range r.Words() {
+			for ; word != 0; word &= word - 1 {
+				freq[wi*64+bits.TrailingZeros64(word)] += w
+			}
 		}
 	}
 	return freq

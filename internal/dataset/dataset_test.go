@@ -125,6 +125,26 @@ func TestAttrFrequencies(t *testing.T) {
 	}
 }
 
+// TestAttrFrequenciesAllocsOnce pins AttrFrequencies at one allocation,
+// its result, on a weighted log wider than one word: the greedy seed and
+// fallback of a one-shot mfi-exact solve run it over the projected log.
+func TestAttrFrequenciesAllocsOnce(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	log := NewQueryLog(GenericSchema(90))
+	for i := 0; i < 200; i++ {
+		q := bitvec.New(90)
+		for k := 0; k < 1+r.Intn(6); k++ {
+			q.Set(r.Intn(90))
+		}
+		if err := log.AppendWeighted(q, 1+r.Intn(3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() { log.AttrFrequencies() }); got != 1 {
+		t.Fatalf("AttrFrequencies of %d queries: %v allocations, want 1", log.Size(), got)
+	}
+}
+
 func TestTopAttrs(t *testing.T) {
 	_, log, _ := example1(t)
 	// Frequencies: a3:3, a0:2, a1:2, rest 1; stable ties by index.

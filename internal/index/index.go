@@ -301,8 +301,8 @@ func (ix *Index) weightComp(set *bitvec.Compressed, members int) int {
 // buffer and a compressed set, so whichever representation a working set
 // arrives in can be copied and peeled without touching the allocator, plus
 // the attribute list Containing collects. One Scratch serves one goroutine;
-// create per-worker copies for parallel scoring (core's normalized.shard
-// does).
+// create per-worker copies for parallel scoring (core's PreparedLog keeps a
+// free list of them).
 type Scratch struct {
 	words []uint64
 	comp  *bitvec.Compressed
