@@ -83,14 +83,33 @@ func NewCompressed(width int) *Compressed {
 }
 
 // CompressedFrom converts a dense vector, choosing the smallest container
-// format per chunk (Optimize is applied).
+// format per chunk (Optimize is applied). Each container is sized from its
+// chunk's popcount, so the conversion allocates per chunk, not per member.
 func CompressedFrom(v Vector) *Compressed {
 	c := NewCompressed(v.width)
-	for wi, w := range v.words {
-		for w != 0 {
-			c.Set(wi*wordBits + trailingZeros(w))
-			w &= w - 1
+	for lo := 0; lo < len(v.words); lo += chunkWords {
+		chunk := v.words[lo:min(lo+chunkWords, len(v.words))]
+		n := 0
+		for _, w := range chunk {
+			n += onesCount(w)
 		}
+		if n == 0 {
+			continue
+		}
+		ct := container{typ: carray, card: n}
+		if n > arrayMaxCard {
+			ct.typ, ct.bmp = cbitmap, make([]uint64, chunkWords)
+			copy(ct.bmp, chunk)
+		} else {
+			ct.arr = make([]uint16, 0, n)
+			for wi, w := range chunk {
+				for ; w != 0; w &= w - 1 {
+					ct.arr = append(ct.arr, uint16(wi*wordBits+trailingZeros(w)))
+				}
+			}
+		}
+		c.keys = append(c.keys, lo/chunkWords)
+		c.cs = append(c.cs, ct)
 	}
 	c.Optimize()
 	return c

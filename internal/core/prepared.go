@@ -248,6 +248,13 @@ func (p *PreparedLog) Fingerprint() uint64 { return p.seg.Fingerprint() }
 // TotalWeight returns the log's total query weight at PrepareLog time.
 func (p *PreparedLog) TotalWeight() int { return p.seg.TotalWeight() }
 
+// LogSummary returns log's Fingerprint and TotalWeight, hashing only the
+// queries appended since this prep's snapshot when log provably extends it
+// (index.Segmented.Summary), and all of log otherwise.
+func (p *PreparedLog) LogSummary(log *dataset.QueryLog) (fingerprint uint64, totalWeight int) {
+	return p.seg.Summary(log)
+}
+
 // Segments returns the number of index segments backing this prep: 1 after a
 // full PrepareLog, possibly more after incremental PrepareLogFrom builds.
 func (p *PreparedLog) Segments() int { return p.seg.Segments() }

@@ -8,6 +8,8 @@ package core_test
 
 import (
 	"context"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -37,61 +39,69 @@ func compactedWorkload() (*dataset.QueryLog, []bitvec.Vector) {
 
 // greedyRound returns the candidates of one cumulative-greedy round on
 // tuple: picked ∪ {j} for every other tuple attribute j, where picked is the
-// tuple's two attributes most frequent in log.
-func greedyRound(log *dataset.QueryLog, tuple bitvec.Vector) []bitvec.Vector {
+// tuple's `picks` attributes most frequent in log (ties to the lower
+// attribute) — one for the first co-occurrence round, which scores pairs,
+// two for the next, which scores triples.
+func greedyRound(log *dataset.QueryLog, tuple bitvec.Vector, picks int) []bitvec.Vector {
 	freq := log.AttrFrequencies()
 	ones := tuple.Ones()
-	a, b := -1, -1
-	for _, j := range ones {
-		switch {
-		case a < 0 || freq[j] > freq[a]:
-			a, b = j, a
-		case b < 0 || freq[j] > freq[b]:
-			b = j
-		}
-	}
+	byFreq := slices.Clone(ones)
+	sort.SliceStable(byFreq, func(i, j int) bool { return freq[byFreq[i]] > freq[byFreq[j]] })
+	picked := bitvec.FromIndices(log.Width(), byFreq[:picks]...)
 	var cands []bitvec.Vector
 	for _, j := range ones {
-		if j != a && j != b {
-			cands = append(cands, bitvec.FromIndices(log.Width(), a, b, j))
+		if !picked.Get(j) {
+			c := picked.Clone()
+			c.Set(j)
+			cands = append(cands, c)
 		}
 	}
 	return cands
 }
 
-// BenchmarkCountContaining times one shard's superset call — one greedy
-// round's candidates — on one partition of a 4-way shard.Partition split,
-// by scanning the log and through the prepared index.
+// BenchmarkCountContaining times the superset call of one greedy round — the
+// pair round ({a, j}) and the triple round ({a, b, j}) — on the full
+// compacted log and on one partition of a 4-way shard.Partition split, the
+// call a shard answers, by scanning the log and through the prepared index.
 func BenchmarkCountContaining(b *testing.B) {
 	log, tuples := compactedWorkload()
 	parts, err := shard.Partition(context.Background(), log, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	part := parts[0]
-	prep, err := core.PrepareLog(part)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rounds := make([][]bitvec.Vector, len(tuples))
-	for i, tuple := range tuples {
-		rounds[i] = greedyRound(log, tuple)
-	}
-	for _, bc := range []struct {
-		name string
-		ctx  context.Context
-	}{
-		{"scan", context.Background()},
-		{"prepared", core.WithPrepared(context.Background(), prep)},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.CountContaining(bc.ctx, part, rounds[i%len(rounds)]); err != nil {
-					b.Fatal(err)
-				}
+	for _, round := range []struct {
+		name  string
+		picks int
+	}{{"pair", 1}, {"triple", 2}} {
+		rounds := make([][]bitvec.Vector, len(tuples))
+		for i, tuple := range tuples {
+			rounds[i] = greedyRound(log, tuple, round.picks)
+		}
+		for _, l := range []struct {
+			name string
+			log  *dataset.QueryLog
+		}{{"full", log}, {"partition", parts[0]}} {
+			prep, err := core.PrepareLog(l.log)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
+			for _, bc := range []struct {
+				name string
+				ctx  context.Context
+			}{
+				{"scan", context.Background()},
+				{"prepared", core.WithPrepared(context.Background(), prep)},
+			} {
+				b.Run(round.name+"/"+l.name+"/"+bc.name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, err := core.CountContaining(bc.ctx, l.log, rounds[i%len(rounds)]); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
 	}
 }
 

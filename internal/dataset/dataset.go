@@ -602,7 +602,7 @@ func (q *QueryLog) FoldFingerprint(h uint64, lo, hi int) uint64 {
 	for i := lo; i < hi; i++ {
 		h = q.Queries[i].Hash64(h)
 		if q.Weights != nil && q.Weights[i] != 1 {
-			h = mix64(h ^ uint64(q.Weights[i])*0x9e3779b97f4a7c15)
+			h = Mix64(h ^ uint64(q.Weights[i])*0x9e3779b97f4a7c15)
 		}
 	}
 	return h
@@ -611,11 +611,11 @@ func (q *QueryLog) FoldFingerprint(h uint64, lo, hi int) uint64 {
 // FinishFingerprint finalizes a rolling fingerprint state for a log of
 // `size` queries over `width` attributes.
 func FinishFingerprint(h uint64, size, width int) uint64 {
-	return mix64(h ^ uint64(size)*0x9e3779b97f4a7c15 ^ uint64(width)*0xff51afd7ed558ccd)
+	return Mix64(h ^ uint64(size)*0x9e3779b97f4a7c15 ^ uint64(width)*0xff51afd7ed558ccd)
 }
 
-// mix64 is the SplitMix64 finalizer: a cheap full-avalanche bijection.
-func mix64(x uint64) uint64 {
+// Mix64 is the SplitMix64 finalizer: a cheap full-avalanche bijection.
+func Mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27

@@ -82,9 +82,12 @@ func TestAutoModePicksPerColumn(t *testing.T) {
 }
 
 // TestModesAgree drives random logs and tuples through all three modes and
-// every scoring entry point, demanding bit-identical sets and counts.
+// every scoring entry point, demanding bit-identical sets and counts. The
+// logs range from too few attribute pairs for a pair table to enough, so
+// Containing runs both its table lookup and its column AND.
 func TestModesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	var tables, columns int // trials whose Auto index keeps / lacks a pair table
 	for trial := 0; trial < 30; trial++ {
 		width := 2 + rng.Intn(12)
 		nq := 1 + rng.Intn(60)
@@ -115,6 +118,11 @@ func TestModesAgree(t *testing.T) {
 		if ixs[1].cols[0].comp != nil {
 			t.Fatal("ForceDense compressed column 0")
 		}
+		if ixs[0].pairs != nil {
+			tables++
+		} else {
+			columns++
+		}
 
 		for probe := 0; probe < 10; probe++ {
 			tuple := bitvec.New(width)
@@ -130,6 +138,23 @@ func TestModesAgree(t *testing.T) {
 				}
 			}
 			drop := tuple.AndNot(kept).Ones()
+			a, b := rng.Intn(width), rng.Intn(width-1)
+			if b >= a {
+				b++
+			}
+			for _, v := range []bitvec.Vector{kept, bitvec.FromIndices(width, a, b)} {
+				want := 0
+				for _, q := range log.Queries {
+					if v.SubsetOf(q) {
+						want++
+					}
+				}
+				for m, ix := range ixs {
+					if got := ix.Containing(v, nil); got != want {
+						t.Fatalf("mode %d: Containing(%v) = %d, scan %d", m, v.Ones(), got, want)
+					}
+				}
+			}
 
 			ref := ixs[0].CandidateSet(tuple)
 			refDrop := ixs[0].SatisfiedDropping(ref, drop, nil)
@@ -160,6 +185,9 @@ func TestModesAgree(t *testing.T) {
 				}
 			}
 		}
+	}
+	if tables == 0 || columns == 0 {
+		t.Errorf("%d trials with a pair table, %d without: Containing's two paths are not both covered", tables, columns)
 	}
 }
 

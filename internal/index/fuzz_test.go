@@ -267,6 +267,17 @@ func FuzzContainingAgrees(f *testing.F) {
 	f.Add([]byte{16, 3, 7, 0xff, 0xff, 0x0f, 0x80, 0xf0, 0x0f})
 	f.Add([]byte{9, 12, 0x55, 1, 0, 3, 0, 7, 0, 1, 1, 3, 1, 0x81, 0, 0xff, 1, 2, 0, 6, 0, 0x0e, 1, 1, 0})
 	f.Add([]byte{3, 0, 1})
+	// Segments of three or more 4-attribute queries keep a pair table and
+	// shorter ones AND columns, so one split runs both paths; weighted and
+	// unweighted, then on the wide-schema probes.
+	full4 := []byte{3, 40, 1}
+	for i := 0; i < 40; i++ {
+		full4 = append(full4, 0x0f, byte(i))
+	}
+	f.Add(full4)
+	full4[2] = 4
+	f.Add(full4)
+	f.Add([]byte{8, 9, 3, 0xff, 1, 0xff, 1, 0xfe, 1, 0x7f, 0, 0xff, 1, 0xf0, 1, 0xff, 1, 0x3f, 1, 0xff, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return

@@ -27,6 +27,13 @@
 // The Options mode can force either representation everywhere; results are
 // bit-identical in all modes, only memory and speed differ (DESIGN.md §12).
 //
+// Superset counts (Containing: the queries holding every attribute of v)
+// AND v's columns. A two-attribute superset count — cumulative greedy's
+// first co-occurrence round — is instead one load from a weighted
+// pair-support table, which Build fills in the walk it already makes, on
+// every index whose queries hold at least width² attribute pairs (DESIGN.md
+// §9).
+//
 // An Index is immutable after Build and safe for unbounded concurrent use.
 // It keeps no reference to the log it was built from: Segmented owns the
 // snapshot (log, version, size, fingerprint) a set of segments indexes.
@@ -115,15 +122,26 @@ type Index struct {
 	// maxSize]. buckets[maxSize] is the full log.
 	buckets []col
 	maxSize int
+	// pairs[a*width+b], a < b, is the total weight of the queries holding
+	// both a and b: every two-attribute Containing call is one load. Build
+	// keeps the table only when its width² entries are no more than the
+	// attribute pairs that fill it (Σ_q C(|q|, 2)), so a small delta
+	// segment or a wide sparse schema builds none and ANDs columns instead.
+	pairs []int
 }
 
-// Build indexes the log with Auto representation selection. Cost is one pass
-// over the log's set bits; the resulting index is safe for concurrent use
-// and must be discarded when the log is mutated.
+// Build indexes the log with Auto representation selection. Cost is two
+// passes over the log's set bits, plus one add per attribute pair of each
+// query when the index keeps a pair table; the resulting index is safe for
+// concurrent use and must be discarded when the log is mutated.
 func Build(log *dataset.QueryLog) (*Index, error) { return BuildWith(log, Options{}) }
 
 // BuildWith is Build under explicit Options. Scoring results are identical
 // in every mode; only the memory/speed trade changes.
+//
+// The build walks each query's set bits in place twice and allocates
+// nothing per query: the first walk accumulates the frequencies, the
+// weighted frequencies and the pair table, the second sets the column bits.
 func BuildWith(log *dataset.QueryLog, opts Options) (*Index, error) {
 	if err := log.Validate(); err != nil {
 		return nil, err
@@ -131,34 +149,52 @@ func BuildWith(log *dataset.QueryLog, opts Options) (*Index, error) {
 	nq, width := log.Size(), log.Width()
 	words := (nq + 63) / 64
 	ix := &Index{
-		nq:    nq,
-		width: width,
-		cols:  make([]col, width),
-		freq:  make([]int, width),
+		nq:          nq,
+		width:       width,
+		cols:        make([]col, width),
+		freq:        make([]int, width),
+		weights:     log.Weights,
+		totalWeight: nq,
+	}
+	ix.wfreq = ix.freq
+	if ix.weights != nil {
+		ix.wfreq, ix.totalWeight = make([]int, width), 0
 	}
 
-	ix.weights = log.Weights
-	ix.maxSize = 0
+	// Query sizes are popcounts; they fix the size buckets and whether the
+	// pair table is worth its width² entries.
 	sizes := make([]int, nq)
+	pairsInLog := 0
 	for qi, q := range log.Queries {
-		sizes[qi] = q.Count()
-		if sizes[qi] > ix.maxSize {
-			ix.maxSize = sizes[qi]
-		}
-		for _, a := range q.Ones() {
-			ix.freq[a]++
-		}
+		k := q.Count()
+		sizes[qi] = k
+		ix.maxSize = max(ix.maxSize, k)
+		pairsInLog += k * (k - 1) / 2
 	}
-	if ix.weights == nil {
-		ix.wfreq = ix.freq
-		ix.totalWeight = nq
-	} else {
-		ix.wfreq = make([]int, width)
-		for qi, q := range log.Queries {
-			w := ix.weights[qi]
+	if width*width <= pairsInLog {
+		ix.pairs = make([]int, width*width)
+	}
+	seen := make([]int, 0, ix.maxSize) // the current query's attributes so far
+	for qi, q := range log.Queries {
+		w := 1
+		if ix.weights != nil {
+			w = ix.weights[qi]
 			ix.totalWeight += w
-			for _, a := range q.Ones() {
-				ix.wfreq[a] += w
+		}
+		seen = seen[:0]
+		for wi, word := range q.Words() {
+			for ; word != 0; word &= word - 1 {
+				a := wi*64 + bits.TrailingZeros64(word)
+				ix.freq[a]++
+				if ix.weights != nil {
+					ix.wfreq[a] += w
+				}
+				if ix.pairs != nil {
+					for _, b := range seen { // b < a: the upper triangle
+						ix.pairs[b*width+a] += w
+					}
+					seen = append(seen, a)
+				}
 			}
 		}
 	}
@@ -212,11 +248,13 @@ func BuildWith(log *dataset.QueryLog, opts Options) (*Index, error) {
 	}
 	for qi, q := range log.Queries {
 		w, bit := qi/64, uint64(1)<<(qi%64)
-		for _, a := range q.Ones() {
-			if c := ix.cols[a]; c.comp != nil {
-				c.comp.Set(qi)
-			} else {
-				c.dense[w] |= bit
+		for wi, word := range q.Words() {
+			for ; word != 0; word &= word - 1 {
+				if c := &ix.cols[wi*64+bits.TrailingZeros64(word)]; c.comp != nil {
+					c.comp.Set(qi)
+				} else {
+					c.dense[w] |= bit
+				}
 			}
 		}
 	}
@@ -365,9 +403,10 @@ func (ix *Index) SatisfiedDropping(cand bitvec.Bits, drop []int, sc *Scratch) in
 // "superset" count a shard answers. The empty set is in every query and one
 // attribute's count is its weighted frequency; otherwise the queries
 // containing v are the AND of v's columns, taken from the sparsest column
-// on and stopped as soon as the working set is empty. sc may be nil (a
-// fresh scratch is allocated); a warm scratch makes the call allocation-
-// free.
+// on and stopped as soon as the working set is empty — unless v has two
+// attributes and the index keeps a pair table, which answers with one load.
+// sc may be nil (a fresh scratch is allocated); a warm scratch makes the
+// call allocation-free.
 func (ix *Index) Containing(v bitvec.Vector, sc *Scratch) int {
 	ix.checkWidth(v)
 	if sc == nil {
@@ -390,6 +429,9 @@ func (ix *Index) Containing(v bitvec.Vector, sc *Scratch) int {
 		return ix.totalWeight
 	case len(attrs) == 1 || ix.freq[attrs[0]] == 0:
 		return ix.wfreq[attrs[0]]
+	case len(attrs) == 2 && ix.pairs != nil:
+		a, b := min(attrs[0], attrs[1]), max(attrs[0], attrs[1])
+		return ix.pairs[a*ix.width+b]
 	}
 	if c := ix.cols[attrs[0]]; c.comp != nil {
 		sc.comp.CopyFrom(c.comp)
@@ -525,14 +567,15 @@ func (ix *Index) peelComp(set *bitvec.Compressed, d *dropped) int {
 }
 
 // MemStats reports how the index stored its sets and an estimate of the
-// bytes the column and bucket payloads occupy — the quantities the
-// wide-schema bench (BENCH_bitmap.json) compares across modes.
+// bytes the column, bucket and pair-table payloads occupy — the quantities
+// the wide-schema bench (BENCH_bitmap.json) compares across modes.
 type MemStats struct {
 	DenseColumns      int // attribute columns stored as dense bitmaps (incl. the shared zero set once)
 	CompressedColumns int
 	DenseBuckets      int // size buckets stored as dense bitmaps
 	CompressedBuckets int
-	Bytes             int // total payload estimate across columns and buckets
+	PairBytes         int // the pair table's payload; 0 when the index keeps none
+	Bytes             int // total payload estimate across columns, buckets and the pair table
 }
 
 // Mem returns the index's representation statistics.
@@ -565,5 +608,7 @@ func (ix *Index) Mem() MemStats {
 	for k := range ix.buckets {
 		account(ix.buckets[k], &st.DenseBuckets, &st.CompressedBuckets)
 	}
+	st.PairBytes = 8 * len(ix.pairs)
+	st.Bytes += st.PairBytes
 	return st
 }

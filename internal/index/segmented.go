@@ -172,6 +172,22 @@ func (s *Segmented) refreshFreq() {
 	}
 }
 
+// Summary returns log's Fingerprint and TotalWeight. When log provably
+// extends the snapshot s covers (dataset.QueryLog.ExtendsFrom), only the
+// queries past it are folded into s's rolling fingerprint state and added to
+// its total weight, O(appended); otherwise all of log is hashed and summed.
+func (s *Segmented) Summary(log *dataset.QueryLog) (fingerprint uint64, totalWeight int) {
+	if !log.ExtendsFrom(s.log, s.version, s.nq) {
+		return log.Fingerprint(), log.TotalWeight()
+	}
+	nq := log.Size()
+	totalWeight = s.totalWeight
+	for i := s.nq; i < nq; i++ {
+		totalWeight += log.Weight(i)
+	}
+	return dataset.FinishFingerprint(log.FoldFingerprint(s.hstate, s.nq, nq), nq, s.width), totalWeight
+}
+
 // Log returns the indexed query log.
 func (s *Segmented) Log() *dataset.QueryLog { return s.log }
 
@@ -223,6 +239,7 @@ func (s *Segmented) Mem() MemStats {
 		st.CompressedColumns += m.CompressedColumns
 		st.DenseBuckets += m.DenseBuckets
 		st.CompressedBuckets += m.CompressedBuckets
+		st.PairBytes += m.PairBytes
 		st.Bytes += m.Bytes
 	}
 	return st

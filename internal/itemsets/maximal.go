@@ -265,7 +265,7 @@ func (d *dfsRun) branchesParallel(ctx context.Context, current bitvec.Vector, cu
 	if res.First != nil {
 		return res.First.Err
 	}
-	return nil
+	return ctx.Err() // branches skipped by an outside cancellation
 }
 
 // canonicalMaximal reduces a raw found list to the canonical answer: exact

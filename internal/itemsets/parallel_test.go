@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,6 +62,46 @@ func TestMaximalDFSParallelCancellation(t *testing.T) {
 	cancel()
 	if _, err := NewMiner(tab).MaximalDFSParallelContext(ctx, 1, 4); err == nil {
 		t.Fatal("want context error from cancelled parallel mine")
+	}
+}
+
+// errLater is a context cancelled from the start whose Err still reports
+// nil on its first call: the miner's root poll passes, while par.Run's
+// context, derived after it, starts cancelled and skips every branch.
+type errLater struct {
+	context.Context
+	calls atomic.Int32
+	done  chan struct{}
+}
+
+func (c *errLater) Done() <-chan struct{} { return c.done }
+
+func (c *errLater) Err() error {
+	if c.calls.Add(1) == 1 {
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestMaximalDFSParallelSkippedBranchesFail: when an outside cancellation
+// makes the scheduler skip the root's branches, the mine returns the
+// context's error, not the sets of the branches that ran as a complete
+// answer.
+func TestMaximalDFSParallelSkippedBranchesFail(t *testing.T) {
+	r := rand.New(rand.NewSource(67))
+	tab := randomTable(r, 30, 12, 0.5)
+	m := NewMiner(tab)
+	if full, err := m.MaximalDFSParallelContext(context.Background(), 1, 4); err != nil || len(full) == 0 {
+		t.Fatalf("uncancelled mine: %d sets, err %v; the test needs a non-empty answer", len(full), err)
+	}
+	done := make(chan struct{})
+	close(done)
+	out, err := m.MaximalDFSParallelContext(&errLater{Context: context.Background(), done: done}, 1, 4)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %d sets and err %v, want the cancellation", len(out), err)
+	}
+	if out != nil {
+		t.Errorf("a cancelled mine returned %d sets, want none", len(out))
 	}
 }
 

@@ -704,7 +704,7 @@ func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 		log := s.CurrentLog()
-		httpx.WriteJSON(r.Context(), w, http.StatusOK, logStats(log))
+		httpx.WriteJSON(r.Context(), w, http.StatusOK, s.logStats(log))
 	case http.MethodPost:
 		var req appendRequest
 		if !httpx.Decode(w, r, 64<<20, &req) {
@@ -749,7 +749,7 @@ func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
 		s.log = next
 		s.mu.Unlock()
 		s.met.logSwaps.Add(1)
-		httpx.WriteJSON(r.Context(), w, http.StatusOK, logStats(next))
+		httpx.WriteJSON(r.Context(), w, http.StatusOK, s.logStats(next))
 	default:
 		w.Header().Set("Allow", "GET, POST")
 		httpx.WriteError(r.Context(), w, http.StatusMethodNotAllowed, "GET or POST only")
@@ -766,16 +766,27 @@ func (s *Server) handleTouch(w http.ResponseWriter, r *http.Request) {
 	}
 	log := s.CurrentLog()
 	log.Touch()
-	httpx.WriteJSON(r.Context(), w, http.StatusOK, logStats(log))
+	httpx.WriteJSON(r.Context(), w, http.StatusOK, s.logStats(log))
 }
 
-func logStats(log *dataset.QueryLog) logResponse {
+// logStats describes log. The cached prep's rolling fingerprint state and
+// total weight cover a prefix of the generation a reply reports whenever the
+// generation extends the prep's snapshot, so the reply costs a hash of the
+// queries appended since, not of the whole log.
+func (s *Server) logStats(log *dataset.QueryLog) logResponse {
+	var fp uint64
+	var weight int
+	if p := s.prep.snapshot(); p != nil {
+		fp, weight = p.LogSummary(log)
+	} else {
+		fp, weight = log.Fingerprint(), log.TotalWeight()
+	}
 	return logResponse{
 		Queries:     log.Size(),
-		TotalWeight: log.TotalWeight(),
+		TotalWeight: weight,
 		Width:       log.Width(),
 		Version:     log.Version(),
-		Fingerprint: fmt.Sprintf("%016x", log.Fingerprint()),
+		Fingerprint: fmt.Sprintf("%016x", fp),
 	}
 }
 

@@ -8,6 +8,8 @@ package serve
 // full chaos storm.
 
 import (
+	"context"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -192,6 +194,79 @@ func read(t *testing.T, resp *http.Response) []byte {
 		t.Fatalf("read body: %v", err)
 	}
 	return raw
+}
+
+// TestLogRepliesMatchScratchHash checks every GET /log, POST /log and
+// /log/touch reply on a weighted log against a from-scratch hash of the
+// generation it reports. The replies fold the cached prep's rolling state
+// when they can (appends one or several generations past a warm prep) and
+// hash from scratch when they must (no prep yet, a touched lineage, a
+// generation older than the prep's snapshot).
+func TestLogRepliesMatchScratchHash(t *testing.T) {
+	srv, ts, _, tuples := newWeightedServer(t, 29, nil)
+	ctx := context.Background()
+	check := func(step string, got logResponse, log *dataset.QueryLog) {
+		t.Helper()
+		want := logResponse{
+			Queries:     log.Size(),
+			TotalWeight: log.TotalWeight(),
+			Width:       log.Width(),
+			Version:     log.Version(),
+			Fingerprint: fmt.Sprintf("%016x", log.Fingerprint()),
+		}
+		if got != want {
+			t.Fatalf("%s: reply %+v, from scratch %+v", step, got, want)
+		}
+	}
+	get := func(step string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/log")
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(step, decode[logResponse](t, read(t, resp)), srv.CurrentLog())
+	}
+	post := func(step, path string, body any) {
+		t.Helper()
+		status, raw := postJSON(t, ts.URL+path, body)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", step, status, raw)
+		}
+		check(step, decode[logResponse](t, raw), srv.CurrentLog())
+	}
+	appendQueries := func(step string, weights []int, picks ...int) {
+		t.Helper()
+		specs := make([]string, len(picks))
+		for i, k := range picks {
+			specs[i] = tuples[k].String()
+		}
+		post(step, "/log", appendRequest{Append: specs, Weights: weights})
+	}
+	warm := func() {
+		t.Helper()
+		if _, err := srv.prep.get(ctx, srv.CurrentLog()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	get("start-up log")
+	warm()
+	get("warm prep")
+	appendQueries("append past the prep", []int{3, 1}, 0, 1)
+	get("one generation past the prep")
+	appendQueries("second append past the same prep", nil, 2)
+	appendQueries("third append past the same prep", []int{8}, 3)
+	old := srv.CurrentLog()
+	warm()
+	appendQueries("append past the rebuilt prep", []int{2}, 4)
+	warm()
+	check("generation older than the prep", srv.logStats(old), old)
+	post("touch", "/log/touch", struct{}{})
+	appendQueries("append past a touched prep", []int{5}, 5)
+	get("after the touch")
+	warm()
+	appendQueries("append past the post-touch prep", nil, 6, 7)
+	get("end")
 }
 
 // TestChaosStormWeightedLog runs the full fault storm over a weighted log

@@ -37,9 +37,12 @@ const partitionSeed = 0x70a3d70a3d70a3d7
 // ShardOf returns the shard index in [0, n) a query belongs to. The
 // assignment hashes the query's attribute set, so duplicate queries (and
 // their weights) land on one shard and the per-shard logs stay skew-free for
-// typical workloads.
+// typical workloads. The attribute hash is finalized before the reduction:
+// its low k bits depend only on the query's first k attributes, so taken mod
+// 2^k unmixed it would pile every query sharing those attributes onto one
+// shard. Every process of one fleet must run the same ShardOf.
 func ShardOf(q bitvec.Vector, n int) int {
-	return int(q.Hash64(partitionSeed) % uint64(n))
+	return int(dataset.Mix64(q.Hash64(partitionSeed)) % uint64(n))
 }
 
 // Partition splits log into n per-shard logs by deterministic query hash,

@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"standout/internal/bitvec"
+	"standout/internal/compact"
 	"standout/internal/dataset"
 	"standout/internal/fault"
+	"standout/internal/gen"
 )
 
 // testLog builds a deterministic weighted log: width attrs, size queries
@@ -99,6 +101,28 @@ func TestPartitionPreservesWeightsAndUnion(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestPartitionBalanced holds every shard of a power-of-two split of the
+// compacted log — gen.RealWorkload's 200,000 raw queries over the Cars
+// schema, folded into weighted entries, the log shard-fanout serves — within
+// ±10% of the mean entry count. An attribute hash reduced unmixed mod 2^k
+// fails it: the first k attributes alone pick the shard, which put 59% of
+// the weight on one shard of four.
+func TestPartitionBalanced(t *testing.T) {
+	log, _ := compact.Compact(gen.RealWorkload(gen.Cars(1000, 2000), 1001, 200000))
+	for _, n := range []int{2, 4, 8} {
+		parts, err := Partition(context.Background(), log, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mean := float64(log.Size()) / float64(n)
+		for i, p := range parts {
+			if dev := float64(p.Size())/mean - 1; dev < -0.1 || dev > 0.1 {
+				t.Fatalf("n=%d: shard %d holds %d of %d entries, %+.0f%% off the mean", n, i, p.Size(), log.Size(), 100*dev)
 			}
 		}
 	}
