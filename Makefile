@@ -130,6 +130,7 @@ FUZZ_SMOKE := \
 	FuzzSatisfiedDropping:internal/index:8 \
 	FuzzSegmentMerge:internal/index:8 \
 	FuzzContainingAgrees:internal/index:8 \
+	FuzzContainingBatchAgrees:internal/index:8 \
 	FuzzCompactEquivalence:internal/compact:6 \
 	FuzzMaximalDFSFloor:internal/itemsets:8 \
 	FuzzExactSolversAgree:internal/core:14 \

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"standout/internal/bitvec"
+	"standout/internal/index"
 	"standout/internal/obsv"
 )
 
@@ -133,22 +134,34 @@ func (n *normalized) Satisfied(ctx context.Context, cands []bitvec.Vector) ([]in
 }
 
 // Containing implements Counter over the whole, unrestricted log — §IV.D
-// scores co-occurrence against every query: per index segment the AND of a
-// candidate's columns (index.Containing), or one scan of the log without an
-// index.
+// scores co-occurrence against every query: per index segment a batch call
+// sharing the candidates' common columns (containingSegments), or one scan
+// of the log without an index.
 func (n *normalized) Containing(ctx context.Context, cands []bitvec.Vector) ([]int, error) {
 	if n.segs == nil {
 		return containingScan(ctx, n.in.Log, cands)
 	}
+	return containingSegments(ctx, n.prep.seg, n.scratch, cands)
+}
+
+// containingSegments answers Containing from an index's segments, each with
+// its scratch from scratch: a segment adds its counts for a chunk of
+// pollMask+1 candidates in one index.ContainingBatch call, which ANDs the
+// columns the chunk's candidates share once, and ctx is polled between
+// chunks. The segments' counts add up exactly because each query lives in
+// exactly one segment. A local solve and a prep's CountContaining both
+// count through it.
+func containingSegments(ctx context.Context, seg *index.Segmented, scratch []*index.Scratch, cands []bitvec.Vector) ([]int, error) {
 	counts := make([]int, len(cands))
-	for ci, cand := range cands {
-		if ci&pollMask == pollMask {
+	for lo := 0; lo < len(cands); lo += pollMask + 1 {
+		if lo > 0 {
 			if err := pollCtx(ctx); err != nil {
 				return nil, err
 			}
 		}
-		for i, s := range n.segs {
-			counts[ci] += s.idx.Containing(cand, n.scratch[i])
+		hi := min(lo+pollMask+1, len(cands))
+		for si, sc := range scratch {
+			seg.Segment(si).ContainingBatch(cands[lo:hi], counts[lo:hi], sc)
 		}
 	}
 	return counts, nil

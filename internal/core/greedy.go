@@ -95,9 +95,13 @@ func (s ConsumeAttrCumul) Solve(in Instance) (Solution, error) {
 }
 
 // SolveContext implements Solver. Cancellation is polled once per selection
-// step; a step costs one Containing call of at most |t| candidates, which an
-// index answers per segment by ANDing columns, and the scan path in one pass
-// over the log.
+// step; a step costs one Containing call of at most |t| candidates, and the
+// scan path answers it in one pass over the log. An index answers it per
+// segment: the first two co-occurrence rounds (pairs, triples) from its
+// support tables, one load per candidate, and every later round with one
+// AND of the picked columns, shared by the round, plus one fused
+// AND-and-weigh pass over each candidate's own column
+// (index.ContainingBatch).
 func (s ConsumeAttrCumul) SolveContext(ctx context.Context, in Instance) (Solution, error) {
 	return solveCounting(ctx, s, in)
 }

@@ -29,7 +29,7 @@ func CountSatisfied(ctx context.Context, log *dataset.QueryLog, cands []bitvec.V
 		return nil, err
 	}
 	if p := preparedFromContext(ctx); p != nil && p.usableFor(log) {
-		counts, err := p.sum(ctx, cands, (*index.Index).Satisfied)
+		counts, err := p.satisfied(ctx, cands)
 		if err != nil {
 			return nil, fmt.Errorf("core: count satisfied: %w", err)
 		}
@@ -49,10 +49,11 @@ func CountSatisfied(ctx context.Context, log *dataset.QueryLog, cands []bitvec.V
 
 // CountContaining returns, for each candidate, the total weight of log
 // queries containing it (queries q with q ⊇ cand). When the context carries
-// a usable PreparedLog for log (WithPrepared), each count is the AND of the
-// candidate's attribute columns in every index segment (index.Containing),
-// summed over the segments; otherwise a single pass over the log scores
-// every candidate. Results are bit-identical either way.
+// a usable PreparedLog for log (WithPrepared), every index segment counts
+// the candidates in batches that share their common columns
+// (index.ContainingBatch), and the segments' counts are summed; otherwise a
+// single pass over the log scores every candidate. Results are
+// bit-identical either way.
 func CountContaining(ctx context.Context, log *dataset.QueryLog, cands []bitvec.Vector) ([]int, error) {
 	if err := validateCands(log, cands); err != nil {
 		return nil, err
@@ -70,17 +71,24 @@ func CountContaining(ctx context.Context, log *dataset.QueryLog, cands []bitvec.
 	return counts, nil
 }
 
-// containing answers CountContaining, and the estimator derivation's
-// support calls, from the prep's index.
+// containing answers CountContaining from the prep's index. Like
+// satisfied, it polls ctx before its first chunk too.
 func (p *PreparedLog) containing(ctx context.Context, cands []bitvec.Vector) ([]int, error) {
-	return p.sum(ctx, cands, (*index.Index).Containing)
+	if len(cands) > 0 {
+		if err := pollCtx(ctx); err != nil {
+			return nil, err
+		}
+	}
+	scratch := p.takeScratch()
+	defer p.putScratch(scratch)
+	return containingSegments(ctx, p.seg, scratch, cands)
 }
 
-// sum returns, for each candidate, the per-segment kernel summed over the
-// prep's segments — exact because each query lives in exactly one segment.
-// Each segment gets one scratch for the whole call.
-func (p *PreparedLog) sum(ctx context.Context, cands []bitvec.Vector, kernel func(*index.Index, bitvec.Vector, *index.Scratch) int) ([]int, error) {
-	seg := p.seg
+// satisfied answers CountSatisfied from the prep's index: each candidate's
+// index.Satisfied counts summed over the prep's segments — exact because
+// each query lives in exactly one segment. Each segment gets one scratch
+// for the whole call.
+func (p *PreparedLog) satisfied(ctx context.Context, cands []bitvec.Vector) ([]int, error) {
 	scratch := p.takeScratch()
 	defer p.putScratch(scratch)
 	counts := make([]int, len(cands))
@@ -91,7 +99,7 @@ func (p *PreparedLog) sum(ctx context.Context, cands []bitvec.Vector, kernel fun
 			}
 		}
 		for si, sc := range scratch {
-			counts[ci] += kernel(seg.Segment(si), cand, sc)
+			counts[ci] += p.seg.Segment(si).Satisfied(cand, sc)
 		}
 	}
 	return counts, nil

@@ -41,7 +41,7 @@ func compactedWorkload() (*dataset.QueryLog, []bitvec.Vector) {
 // tuple: picked ∪ {j} for every other tuple attribute j, where picked is the
 // tuple's `picks` attributes most frequent in log (ties to the lower
 // attribute) — one for the first co-occurrence round, which scores pairs,
-// two for the next, which scores triples.
+// two for the next, which scores triples, and so on.
 func greedyRound(log *dataset.QueryLog, tuple bitvec.Vector, picks int) []bitvec.Vector {
 	freq := log.AttrFrequencies()
 	ones := tuple.Ones()
@@ -60,9 +60,10 @@ func greedyRound(log *dataset.QueryLog, tuple bitvec.Vector, picks int) []bitvec
 }
 
 // BenchmarkCountContaining times the superset call of one greedy round — the
-// pair round ({a, j}) and the triple round ({a, b, j}) — on the full
-// compacted log and on one partition of a 4-way shard.Partition split, the
-// call a shard answers, by scanning the log and through the prepared index.
+// pair round ({a, j}), the triple round ({a, b, j}) and the rounds after it,
+// with three and four attributes picked — on the full compacted log and on
+// one partition of a 4-way shard.Partition split, the call a shard answers,
+// by scanning the log and through the prepared index.
 func BenchmarkCountContaining(b *testing.B) {
 	log, tuples := compactedWorkload()
 	parts, err := shard.Partition(context.Background(), log, 4)
@@ -72,7 +73,7 @@ func BenchmarkCountContaining(b *testing.B) {
 	for _, round := range []struct {
 		name  string
 		picks int
-	}{{"pair", 1}, {"triple", 2}} {
+	}{{"pair", 1}, {"triple", 2}, {"quad", 3}, {"quint", 4}} {
 		rounds := make([][]bitvec.Vector, len(tuples))
 		for i, tuple := range tuples {
 			rounds[i] = greedyRound(log, tuple, round.picks)

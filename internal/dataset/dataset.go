@@ -438,20 +438,47 @@ func (q *QueryLog) lineage() *lineage {
 	return q.lin.Load()
 }
 
-// spans lists prefixes that q's entries provably equal at lineage epoch
-// epoch: its own store's (or, for a root, its own), and, while no Touch has
-// happened since the store was filled, those the store copied.
-func (q *QueryLog) spans(epoch uint64) []span {
+// provenance is what spans proves about a log's entries: that they equal
+// own, and every span of from. ok is false for a detached generation, whose
+// entries prove nothing.
+type provenance struct {
+	own  span
+	from []span
+	ok   bool
+}
+
+// spans returns the prefixes that q's entries provably equal at lineage
+// epoch epoch: its own store's (or, for a root, its own), and, while no
+// Touch has happened since the store was filled, those the store copied.
+// It builds no list: from is the store's own.
+func (q *QueryLog) spans(epoch uint64) provenance {
 	n := len(q.Queries)
 	switch {
 	case q.st == nil:
-		return []span{{0, n}}
+		return provenance{own: span{0, n}, ok: true}
 	case !q.attached():
-		return nil
+		return provenance{}
 	case q.st.epoch != epoch:
-		return []span{{q.st.id, n}}
+		return provenance{own: span{q.st.id, n}, ok: true}
 	}
-	return append([]span{{q.st.id, n}}, q.st.from...)
+	return provenance{own: span{q.st.id, n}, from: q.st.from, ok: true}
+}
+
+// covers reports whether p holds a span of a's store or root that, like a,
+// reaches at least size entries.
+func (p provenance) covers(a span, size int) bool {
+	if !p.ok || a.n < size {
+		return false
+	}
+	if p.own.id == a.id && p.own.n >= size {
+		return true
+	}
+	for _, b := range p.from {
+		if b.id == a.id && b.n >= size {
+			return true
+		}
+	}
+	return false
 }
 
 // Weight returns the multiplicity of query i (1 when Weights is nil).
@@ -558,12 +585,16 @@ func (q *QueryLog) ExtendsFrom(ancestor *QueryLog, version uint64, size int) boo
 		return false
 	}
 	epoch := lin.touches.Load()
-	theirs := ancestor.spans(epoch)
-	for _, a := range q.spans(epoch) {
-		for _, b := range theirs {
-			if a.id == b.id && a.n >= size && b.n >= size {
-				return true
-			}
+	mine, theirs := q.spans(epoch), ancestor.spans(epoch)
+	if !mine.ok {
+		return false
+	}
+	if theirs.covers(mine.own, size) {
+		return true
+	}
+	for _, a := range mine.from {
+		if theirs.covers(a, size) {
+			return true
 		}
 	}
 	return false

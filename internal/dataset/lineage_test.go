@@ -235,3 +235,43 @@ func TestLineageConcurrentAppends(t *testing.T) {
 		t.Fatal("a lineage proof survived a Touch")
 	}
 }
+
+// TestExtendsFromAllocsNothing pins the lineage proof to zero allocations:
+// on a one-append generation of a root, and on a branch that had to copy its
+// parent's store, so its proof runs through the store's copied spans.
+func TestExtendsFromAllocsNothing(t *testing.T) {
+	const width = 8
+	root := NewQueryLog(GenericSchema(width))
+	for i := 0; i < 50; i++ {
+		if err := root.Append(bitvec.FromIndices(width, i%width)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	one := root.Extend()
+	if err := one.Append(bitvec.FromIndices(width, 1)); err != nil {
+		t.Fatal(err)
+	}
+	sibling, branch := one.Extend(), one.Extend()
+	for _, g := range []*QueryLog{sibling, branch} { // the branch's append copies
+		if err := g.Append(bitvec.FromIndices(width, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name        string
+		g, ancestor *QueryLog
+		version     uint64
+		size        int
+	}{
+		{"one append", one, root, root.Version(), root.Size()},
+		{"two generations", branch, root, root.Version(), root.Size()},
+		{"copied branch", branch, one, one.Version(), one.Size()},
+	} {
+		if !c.g.ExtendsFrom(c.ancestor, c.version, c.size) {
+			t.Fatalf("%s: no proof", c.name)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { c.g.ExtendsFrom(c.ancestor, c.version, c.size) }); allocs != 0 {
+			t.Fatalf("%s: ExtendsFrom allocates %.0f times, want 0", c.name, allocs)
+		}
+	}
+}

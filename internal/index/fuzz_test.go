@@ -376,3 +376,135 @@ func FuzzContainingAgrees(f *testing.F) {
 		}
 	})
 }
+
+// FuzzContainingBatchAgrees holds the batch superset kernel to a scan: every
+// count ContainingBatch adds, summed over a fuzzer-chosen split of the log
+// into segments, equals the total weight of the queries holding the
+// candidate, in every representation mode, for weighted and unweighted
+// logs. A batch is a greedy round over a common part of 0–4 attributes —
+// common ∪ {j} for every other j, the common part itself and two-extra
+// candidates — with, when the fuzzer says so, unrelated random candidates
+// mixed in, which shrink the part the whole batch shares. Each segment's
+// scratch then counts a second, reversed batch, so no state carries over
+// between calls wrongly.
+//
+// Input layout: as FuzzContainingAgrees, with one more byte after byte 2:
+// its value mod 5 is the common part's size and its bit 3 mixes in the
+// unrelated candidates.
+func FuzzContainingBatchAgrees(f *testing.F) {
+	f.Add([]byte{6, 4, 0, 3, 0b11, 0, 0b101, 0, 0b111, 0, 0b110, 0})
+	f.Add([]byte{9, 12, 0x55, 0x0b, 1, 0, 3, 0, 7, 0, 1, 1, 3, 1, 0x81, 0, 0xff, 1, 2, 0, 6, 0, 0x0e, 1, 1, 0})
+	full := []byte{7, 40, 1, 4} // 8 attributes, every query holds 5–8 of them
+	for i := 0; i < 40; i++ {
+		full = append(full, 0xf8|byte(i), 0)
+	}
+	f.Add(full)
+	full[2], full[3] = 6, 0x0c // unweighted, a common triple, unrelated candidates
+	f.Add(full)
+	f.Add([]byte{15, 30, 3, 2, 0xff, 0xff, 0xf0, 0x0f, 0x3c, 0xc3, 0xff, 0x00, 0x00, 0xff, 0xaa, 0x55, 0x0f, 0x0f, 0xf0, 0xf0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		width := 1 + int(data[0])%16
+		nq := int(data[1]) % 41
+		weighted := data[2]&1 == 1
+		rng := rand.New(rand.NewSource(int64(data[2])))
+		k, mixed := min(int(data[3])%5, width), data[3]&8 != 0
+		data = data[4:]
+
+		log := dataset.NewQueryLog(dataset.GenericSchema(width))
+		for i := 0; i < nq && len(data) >= 2; i++ {
+			q := bitvec.New(width)
+			bits := uint16(data[0]) | uint16(data[1])<<8
+			for a := 0; a < width; a++ {
+				if bits&(1<<a) != 0 {
+					q.Set(a)
+				}
+			}
+			if q.Count() == 0 {
+				q.Set(i % width) // empty queries are rejected by Build
+			}
+			w := 1
+			if weighted {
+				w = 1 + int(data[0]^data[1])%5
+			}
+			data = data[2:]
+			if err := log.AppendWeighted(q, w); err != nil {
+				t.Fatalf("append: %v", err)
+			}
+		}
+		cuts := []int{0}
+		for i := 1; i < log.Size(); i++ {
+			if rng.Intn(3) == 0 {
+				cuts = append(cuts, i)
+			}
+		}
+		cuts = append(cuts, log.Size())
+
+		common := bitvec.FromIndices(width, rng.Perm(width)[:k]...)
+		batch := []bitvec.Vector{common}
+		for j := 0; j < width; j++ {
+			if !common.Get(j) {
+				c := common.Clone()
+				c.Set(j)
+				batch = append(batch, c)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			c := common.Clone()
+			c.Set(rng.Intn(width))
+			c.Set(rng.Intn(width))
+			batch = append(batch, c)
+		}
+		if mixed {
+			for i := 0; i < 3; i++ {
+				c := bitvec.New(width)
+				for a := 0; a < width; a++ {
+					if rng.Intn(2) == 0 {
+						c.Set(a)
+					}
+				}
+				at := rng.Intn(len(batch) + 1)
+				batch = slices.Insert(batch, at, c)
+			}
+		}
+		reversed := slices.Clone(batch)
+		slices.Reverse(reversed)
+		reversed = reversed[:1+len(reversed)/2]
+
+		scan := func(v bitvec.Vector) int {
+			n := 0
+			for qi, q := range log.Queries {
+				if v.SubsetOf(q) {
+					n += log.Weight(qi)
+				}
+			}
+			return n
+		}
+		for _, mode := range []Mode{Auto, ForceDense, ForceCompressed} {
+			got := make([]int, len(batch))
+			again := make([]int, len(reversed))
+			for s := 0; s+1 < len(cuts); s++ {
+				ix, err := BuildWith(log.Window(cuts[s], cuts[s+1]), Options{Mode: mode})
+				if err != nil {
+					t.Fatalf("mode %d: BuildWith window [%d,%d): %v", mode, cuts[s], cuts[s+1], err)
+				}
+				sc := ix.NewScratch()
+				ix.ContainingBatch(batch, got, sc)
+				ix.ContainingBatch(reversed, again, sc)
+			}
+			for ci, v := range batch {
+				if want := scan(v); got[ci] != want {
+					t.Fatalf("mode %d: ContainingBatch cand %d %s over %d segments = %d, scan = %d (common %s, weighted %t, %d queries)",
+						mode, ci, v, len(cuts)-1, got[ci], want, common, weighted, log.Size())
+				}
+			}
+			for ci, v := range reversed {
+				if want := scan(v); again[ci] != want {
+					t.Fatalf("mode %d: reused scratch, cand %s = %d, scan = %d", mode, v, again[ci], want)
+				}
+			}
+		}
+	})
+}

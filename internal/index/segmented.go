@@ -240,6 +240,7 @@ func (s *Segmented) Mem() MemStats {
 		st.DenseBuckets += m.DenseBuckets
 		st.CompressedBuckets += m.CompressedBuckets
 		st.PairBytes += m.PairBytes
+		st.TripleBytes += m.TripleBytes
 		st.Bytes += m.Bytes
 	}
 	return st

@@ -1,9 +1,10 @@
 package itemsets
 
 import (
+	"cmp"
 	"context"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -82,7 +83,7 @@ func (m *Miner) MaximalDFSFloorContext(ctx context.Context, minSup, floor, worke
 	order := itemOrder(m.singletonSupports())
 
 	d := &dfsRun{m: m, minSup: minSup, floor: floor, workers: workers}
-	err := d.rec(ctx, bitvec.New(m.width), m.fullRowset(), m.totalWeight, order, 0)
+	err := (&dfsWalker{d: d}).rec(ctx, bitvec.New(m.width), m.fullRowset(), m.totalWeight, order, 0)
 	obsv.FromContext(ctx).Count("itemsets.dfs_nodes", d.nodes.Load())
 	if err != nil {
 		// The sets found so far are an incomplete answer no caller reads;
@@ -143,19 +144,65 @@ type dfsExt struct {
 	sup  int
 }
 
-func (d *dfsRun) rec(ctx context.Context, current bitvec.Vector, curRows []uint64, curSup int, cand []int, depth int) error {
+// dfsFrame holds the working buffers of one DFS depth, which every node at
+// that depth reuses: the node's extensions, its itemset once it absorbs an
+// item, and what it hands each child — the child's itemset, rowset and
+// candidates. set holds the lookahead's itemset, then each child's itemset
+// with every later extension, for the subsumption checks.
+type dfsFrame struct {
+	exts []dfsExt
+	cur  bitvec.Vector
+	next bitvec.Vector
+	set  bitvec.Vector
+	rows []uint64
+	rest []int
+}
+
+// dfsWalker is one goroutine's descent of a dfsRun, with one frame per
+// depth, so a node allocates only the sets it records. Each parallel root
+// branch walks with its own.
+type dfsWalker struct {
+	d      *dfsRun
+	frames []*dfsFrame
+}
+
+// frame returns depth's frame, making it on first use.
+func (w *dfsWalker) frame(depth int) *dfsFrame {
+	for len(w.frames) <= depth {
+		w.frames = append(w.frames, nil)
+	}
+	if w.frames[depth] == nil {
+		m := w.d.m
+		w.frames[depth] = &dfsFrame{
+			exts: make([]dfsExt, 0, m.width),
+			cur:  bitvec.New(m.width),
+			next: bitvec.New(m.width),
+			set:  bitvec.New(m.width),
+			rows: make([]uint64, m.words),
+			rest: make([]int, 0, m.width),
+		}
+	}
+	return w.frames[depth]
+}
+
+// rec mines the subtree of the node (current, curRows): current's rows are
+// curRows, of weight curSup, and cand lists the items it may add. It writes
+// none of its arguments.
+func (w *dfsWalker) rec(ctx context.Context, current bitvec.Vector, curRows []uint64, curSup int, cand []int, depth int) error {
 	if err := pollCtx(ctx); err != nil {
 		return err
 	}
+	d := w.d
 	d.nodes.Add(1)
 	m := d.m
+	f := w.frame(depth)
 	// Filter candidates to those frequent in the current context, and
 	// absorb parent-equivalent items on the way (PEP, as in MAFIA):
 	// an item supported by every row of the current context belongs to
 	// every maximal superset in this subtree, so it is added outright
 	// instead of branched on. On dense tables (the §IV.C regime) this
 	// collapses otherwise-exponential subtrees.
-	var exts []dfsExt
+	exts, absorbed := f.exts[:0], false
 	for _, j := range cand {
 		s := m.and(curRows, m.cols[j])
 		if s < d.minSup {
@@ -163,13 +210,17 @@ func (d *dfsRun) rec(ctx context.Context, current bitvec.Vector, curRows []uint6
 		}
 		if s == curSup {
 			if !current.Get(j) {
-				current = current.Clone()
+				if !absorbed { // the first absorbed item: current becomes frame's own
+					copy(f.cur.Words(), current.Words())
+					current, absorbed = f.cur, true
+				}
 				current.Set(j)
 			}
 			continue
 		}
 		exts = append(exts, dfsExt{j, s})
 	}
+	f.exts = exts
 	ceiling := current.Count() + len(exts) // |current ∪ exts|: exts miss current
 	if ceiling < d.floor {
 		return nil
@@ -181,24 +232,22 @@ func (d *dfsRun) rec(ctx context.Context, current bitvec.Vector, curRows []uint6
 		return nil
 	}
 	// Fail-first: least-supported extensions explored first.
-	sort.Slice(exts, func(a, b int) bool {
-		if exts[a].sup != exts[b].sup {
-			return exts[a].sup < exts[b].sup
-		}
-		return exts[a].item < exts[b].item
+	slices.SortFunc(exts, func(a, b dfsExt) int {
+		return cmp.Or(cmp.Compare(a.sup, b.sup), cmp.Compare(a.item, b.item))
 	})
 
 	// Lookahead: if current ∪ all viable extensions is frequent, it is the
 	// unique maximal set below this node.
-	all := current.Clone()
-	allRows := append([]uint64(nil), curRows...)
+	all, allRows := f.set, f.rows
+	copy(all.Words(), current.Words())
+	copy(allRows, curRows)
 	for _, e := range exts {
 		all.Set(e.item)
 		intersect(allRows, m.cols[e.item])
 	}
 	if s := m.pop(allRows); s >= d.minSup {
 		if !d.store.subsumed(all) {
-			d.store.add(ItemsetCount{Items: all, Support: s})
+			d.store.add(ItemsetCount{Items: all.Clone(), Support: s})
 		}
 		return nil
 	}
@@ -206,60 +255,53 @@ func (d *dfsRun) rec(ctx context.Context, current bitvec.Vector, curRows []uint6
 	if depth == 0 && d.workers > 1 && len(exts) > 1 {
 		return d.branchesParallel(ctx, current, curRows, exts, ceiling)
 	}
-	for i, e := range exts {
+	for i := range exts {
 		if ceiling-i < d.floor {
 			break // this child's ceiling, and every later one's, is below the floor
 		}
-		next := current.Clone()
-		next.Set(e.item)
-		// Subsumption pruning: if next plus every remaining candidate is
-		// already inside a found maximal set, this subtree adds nothing.
-		withRest := next.Clone()
-		for _, e2 := range exts[i+1:] {
-			withRest.Set(e2.item)
-		}
-		if d.store.subsumed(withRest) {
-			continue
-		}
-		nextRows := append([]uint64(nil), curRows...)
-		intersect(nextRows, m.cols[e.item])
-		rest := make([]int, 0, len(exts)-i-1)
-		for _, e2 := range exts[i+1:] {
-			rest = append(rest, e2.item)
-		}
-		if err := d.rec(ctx, next, nextRows, e.sup, rest, depth+1); err != nil {
+		if err := w.child(ctx, current, curRows, exts, i, depth); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// child descends from the node (current, curRows) at depth into its i-th
+// extension, through depth's frame, unless a found set already holds the
+// child plus every later extension: then the subtree adds nothing
+// (subsumption pruning).
+func (w *dfsWalker) child(ctx context.Context, current bitvec.Vector, curRows []uint64, exts []dfsExt, i, depth int) error {
+	f := w.frame(depth)
+	e := exts[i]
+	next, withRest := f.next, f.set
+	copy(next.Words(), current.Words())
+	next.Set(e.item)
+	copy(withRest.Words(), next.Words())
+	for _, e2 := range exts[i+1:] {
+		withRest.Set(e2.item)
+	}
+	if w.d.store.subsumed(withRest) {
+		return nil
+	}
+	copy(f.rows, curRows)
+	intersect(f.rows, w.d.m.cols[e.item])
+	f.rest = f.rest[:0]
+	for _, e2 := range exts[i+1:] {
+		f.rest = append(f.rest, e2.item)
+	}
+	return w.rec(ctx, next, f.rows, e.sup, f.rest, depth+1)
+}
+
 // branchesParallel distributes the root's branch subtrees over internal/par
-// workers. Each branch owns its cloned itemset and rowset; only the found
-// store is shared, behind its mutex.
+// workers. Each branch walks with its own buffers; only the found store is
+// shared, behind its mutex.
 func (d *dfsRun) branchesParallel(ctx context.Context, current bitvec.Vector, curRows []uint64, exts []dfsExt, ceiling int) error {
 	d.store.locked = true
 	res := par.Run(ctx, len(exts), par.Options{Workers: d.workers}, func(ctx context.Context, i int) error {
-		e := exts[i]
 		if ceiling-i < d.floor {
 			return nil // this branch's ceiling is below the floor
 		}
-		next := current.Clone()
-		next.Set(e.item)
-		withRest := next.Clone()
-		for _, e2 := range exts[i+1:] {
-			withRest.Set(e2.item)
-		}
-		if d.store.subsumed(withRest) {
-			return nil
-		}
-		nextRows := append([]uint64(nil), curRows...)
-		intersect(nextRows, d.m.cols[e.item])
-		rest := make([]int, 0, len(exts)-i-1)
-		for _, e2 := range exts[i+1:] {
-			rest = append(rest, e2.item)
-		}
-		return d.rec(ctx, next, nextRows, e.sup, rest, 1)
+		return (&dfsWalker{d: d}).child(ctx, current, curRows, exts, i, 0)
 	})
 	d.store.locked = false
 	if res.First != nil {
